@@ -7,7 +7,7 @@ structural checks for gross substitutes, and brute-force Walrasian oracles.
 
 from .model import (
     Instance, Prices, Allocation, Valuation, TruncationSpec, Violation,
-    ModelError, TruncationBoundsViolated,
+    ModelError, TruncationBoundsViolated, InvariantViolation,
     make_table, make_additive, make_unit_demand, make_truncation,
     make_instance, validate,
     instance_from_json, instance_to_json, prices_from_json, prices_to_json,

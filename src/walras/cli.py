@@ -6,7 +6,7 @@ inspect demand at a price. Results are JSON on stdout (optionally copied
 to --out); diagnostics go to stderr.
 
 Exit codes: 0 success (run: certified termination; check: all clean),
-1 input error or failed check, 2 iteration cap hit.
+1 input error, exceeded budget or failed check, 2 iteration cap hit.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 
 from . import auctions, demand, ggs2, oracle, structure
 from .model import (
-    Instance, ModelError, Prices, add_indicator, instance_from_json,
-    iter_items, make_instance, make_truncation, make_unit_demand, popcount,
-    prices_from_json,
+    BudgetExceeded, Instance, ModelError, Prices, add_indicator,
+    instance_from_json, iter_items, make_instance, make_truncation,
+    make_unit_demand, prices_from_json, prices_to_json,
 )
 
 ALGORITHMS = ("gs", "ausubel", "fine", "ggs2")
@@ -46,14 +46,6 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-
-
-def _labels(instance: Instance, bundle: int) -> list[str]:
-    return instance.label_bundle(bundle)
-
-
-def _price_map(instance: Instance, prices: Prices) -> dict:
-    return {instance.items[j]: prices[j] for j in range(instance.m)}
 
 
 def _seeded_policy(seed: int):
@@ -129,7 +121,7 @@ def _check_gs(instance: Instance) -> list[dict]:
     for i, v in enumerate(instance.players):
         try:
             w = structure.check_gs_on_grid(v)
-        except structure.GridTooLarge as exc:
+        except BudgetExceeded as exc:
             findings.append({"player": i, "kind": "grid too large",
                              "detail": str(exc)})
             continue
@@ -139,8 +131,8 @@ def _check_gs(instance: Instance) -> list[dict]:
                 "kind": "substitutes violation",
                 "price_low_doubled": list(w.price_low),
                 "price_high_doubled": list(w.price_high),
-                "bundle": _labels(instance, w.bundle),
-                "kept": _labels(instance, w.kept_bundle),
+                "bundle": instance.label_bundle(w.bundle),
+                "kept": instance.label_bundle(w.kept_bundle),
                 "violated_item": (None if w.violated_item is None
                                   else instance.items[w.violated_item]),
             })
@@ -155,9 +147,9 @@ def _check_matroid(instance: Instance) -> list[dict]:
             bad = structure.check_matroid_bases(fam)
             if bad is not None:
                 findings.append({
-                    "player": i, "price": _price_map(instance, p),
+                    "player": i, "price": prices_to_json(p, instance),
                     "kind": f"matroid {bad.kind}",
-                    "family": [_labels(instance, b) for b in fam],
+                    "family": [instance.label_bundle(b) for b in fam],
                 })
     return findings
 
@@ -174,9 +166,9 @@ def _check_lemmas(instance: Instance) -> list[dict]:
                 lhs = demand.demand_sets(v, shifted).utility
                 if lhs != base_u - drop:
                     findings.append({
-                        "player": i, "price": _price_map(instance, p),
+                        "player": i, "price": prices_to_json(p, instance),
                         "kind": "utility-drop identity",
-                        "bundle": _labels(instance, s),
+                        "bundle": instance.label_bundle(s),
                         "expected": base_u - drop, "observed": lhs,
                     })
             for j in range(m):
@@ -184,7 +176,7 @@ def _check_lemmas(instance: Instance) -> list[dict]:
                     structure.classify_transition(v, p, j)
                 except structure.UnclassifiableTransition as exc:
                     findings.append({
-                        "player": i, "price": _price_map(instance, p),
+                        "player": i, "price": prices_to_json(p, instance),
                         "kind": "unclassifiable transition",
                         "item": instance.items[j], "detail": str(exc),
                     })
@@ -192,16 +184,16 @@ def _check_lemmas(instance: Instance) -> list[dict]:
                 rep = structure.check_utility_distance(v, p, s)
                 if not rep.ok:
                     findings.append({
-                        "player": i, "price": _price_map(instance, p),
+                        "player": i, "price": prices_to_json(p, instance),
                         "kind": "utility distance witness missing",
-                        "bundle": _labels(instance, s),
+                        "bundle": instance.label_bundle(s),
                     })
         for x in range(m):
             for y in range(x + 1, m):
                 rep = structure.check_decreasing_marginal(instance, p, x, y)
                 if not rep.ok:
                     findings.append({
-                        "price": _price_map(instance, p),
+                        "price": prices_to_json(p, instance),
                         "kind": "lyapunov submodularity",
                         "items": [instance.items[x], instance.items[y]],
                         "lhs": rep.lhs, "rhs": rep.rhs,
@@ -211,10 +203,10 @@ def _check_lemmas(instance: Instance) -> list[dict]:
 
 def _check_ggs2_shape(instance: Instance) -> list[dict]:
     try:
-        cap = ggs2.common_cap(instance)
+        ggs2.common_cap(instance)
     except ggs2.NotGgs2Instance as exc:
         return [{"kind": "shape violation", "detail": str(exc)}]
-    return [] if cap is None else []
+    return []
 
 
 def cmd_check(args) -> int:
@@ -274,12 +266,12 @@ def cmd_demo(args) -> int:
                 "witness": None if witness is None else {
                     "price_low_doubled": list(witness.price_low),
                     "price_high_doubled": list(witness.price_high),
-                    "bundle": _labels(inst, witness.bundle),
+                    "bundle": inst.label_bundle(witness.bundle),
                     "violated_item": (None if witness.violated_item is None
                                       else inst.items[witness.violated_item]),
                 },
-                "demand_at_low": [_labels(inst, s) for s in d_low],
-                "demand_at_high": [_labels(inst, s) for s in d_high],
+                "demand_at_low": [inst.label_bundle(s) for s in d_low],
+                "demand_at_high": [inst.label_bundle(s) for s in d_high],
                 "reference_pair_reproduced": pair_reproduced,
             },
         }
@@ -297,11 +289,11 @@ def cmd_demo(args) -> int:
             "expected": {"max_excess_at_zero": "<= 0",
                          "envy_free_allocation": None},
             "observed": {
-                "over_demanded_set": _labels(inst, ob.bundle),
+                "over_demanded_set": inst.label_bundle(ob.bundle),
                 "excess": ob.excess,
                 "envy_free_allocation": (
                     None if alloc is None
-                    else [_labels(inst, b) for b in alloc]),
+                    else [inst.label_bundle(b) for b in alloc]),
             },
         }
         ok = ob.excess <= 0 and alloc is None
@@ -324,7 +316,7 @@ def cmd_oracle(args) -> int:
         if args.what == "welfare":
             res = oracle.max_welfare(instance, budget=budget)
             _emit({"value": res.welfare,
-                   "allocation": [_labels(instance, b) for b in res.allocation]},
+                   "allocation": [instance.label_bundle(b) for b in res.allocation]},
                   args.out)
             return 0
         if args.what == "min-walrasian":
@@ -337,7 +329,7 @@ def cmd_oracle(args) -> int:
                 print("note: lyapunov minimizers form no lattice; "
                       "reporting the lexicographically least minimal price",
                       file=sys.stderr)
-            _emit(_price_map(instance, rep.price), args.out)
+            _emit(prices_to_json(rep.price, instance), args.out)
             return 0
         if args.what == "envy-free":
             if not args.price:
@@ -346,9 +338,9 @@ def cmd_oracle(args) -> int:
             alloc = oracle.envy_free_exists(instance, prices)
             _emit({"envy_free_allocation": (
                 None if alloc is None
-                else [_labels(instance, b) for b in alloc])}, args.out)
+                else [instance.label_bundle(b) for b in alloc])}, args.out)
             return 0
-    except oracle.BudgetExceeded as exc:
+    except BudgetExceeded as exc:
         print(json.dumps({"error": "budget exceeded", "detail": str(exc)}))
         return 1
     except ModelError as exc:
@@ -366,24 +358,24 @@ def cmd_inspect(args) -> int:
     ob = demand.over_demanded_set(instance, prices)
     mm = demand.minimal_minimizer_report(instance, prices)
     _emit({
-        "price": _price_map(instance, prices),
+        "price": prices_to_json(prices, instance),
         "lyapunov": demand.lyapunov(instance, prices),
         "players": [
             {
                 "player": r.player,
                 "utility": r.utility,
-                "demand": [_labels(instance, s) for s in r.demand],
-                "minimal_demand": [_labels(instance, s) for s in r.minimal_demand],
+                "demand": [instance.label_bundle(s) for s in r.demand],
+                "minimal_demand": [instance.label_bundle(s) for s in r.minimal_demand],
             }
             for r in reports
         ],
         "over_demanded_set": {
-            "bundle": _labels(instance, ob.bundle),
+            "bundle": instance.label_bundle(ob.bundle),
             "excess": ob.excess,
             "unique": ob.unique,
         },
         "minimal_minimizer": {
-            "bundle": _labels(instance, mm.bundle),
+            "bundle": instance.label_bundle(mm.bundle),
             "lyapunov_after": mm.lyapunov_after,
             "unique": mm.unique,
         },
@@ -435,7 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceeded as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

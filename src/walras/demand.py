@@ -32,7 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    Instance, Prices, Valuation, lex_key, popcount, price_of,
+    DEFAULT_OP_BUDGET, BudgetExceeded, Instance, Prices, Valuation, env_budget,
+    lex_key, popcount, price_of,
 )
 
 
@@ -47,11 +48,28 @@ def _static(m: int):
     return bits, pc
 
 
+def _price_grid(radix, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the mixed-radix price grid, one price per row.
+
+    Coordinate j runs over range(radix[j]) and the last coordinate moves
+    fastest, so row k is the base-radix expansion of k.
+    """
+    rem = np.arange(start, stop, dtype=np.int64)
+    grid = np.empty((len(rem), len(radix)), dtype=np.int64)
+    for j in range(len(radix) - 1, -1, -1):
+        grid[:, j] = rem % radix[j]
+        rem = rem // radix[j]
+    return grid
+
+
 @lru_cache(maxsize=8)
 def _intersection_popcount(m: int):
-    """Matrix |S & T| for all bundle pairs; only sane for small universes."""
-    if m > 12:
-        raise ValueError("intersection table too large beyond 12 items")
+    """Matrix |S & T| for all bundle pairs: 4**m entries, so the default
+    op budget stops it past 12 items."""
+    budget = env_budget(DEFAULT_OP_BUDGET)
+    if 4 ** m > budget:
+        raise BudgetExceeded(
+            f"after-raise table needs {4 ** m} entries, budget {budget}")
     masks = np.arange(1 << m, dtype=np.int64)
     _, pc = _static(m)
     inter = pc[masks[:, None] & masks[None, :]]

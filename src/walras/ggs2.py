@@ -23,17 +23,13 @@ from typing import Optional, Sequence
 from . import demand, oracle
 from .auctions import AuctionStep, AuctionTrace, iteration_cap
 from .model import (
-    Allocation, Instance, Prices, add_indicator, dominated, iter_items,
-    make_instance, make_unit_demand, popcount,
+    Allocation, Instance, InvariantViolation, Prices, add_indicator, dominated,
+    iter_items, make_instance, make_unit_demand, popcount, prices_to_json,
 )
 
 
 class NotGgs2Instance(ValueError):
     """A valuation lacks the constant-above-singletons truncation shape."""
-
-
-class NoObstacle(RuntimeError):
-    """The singleton-only players admit a matching; no induced raise exists."""
 
 
 class HallViolation(RuntimeError):
@@ -105,16 +101,18 @@ def classify_players(instance: Instance, prices: Prices) -> PlayerClass:
     demanded bundle has two or more items.
     """
     common_cap(instance)
-    prices = tuple(prices)
+    return _classify(demand.demand_reports(instance, prices))
+
+
+def _classify(reports: Sequence[demand.DemandReport]) -> PlayerClass:
     small, pairs, empty = [], [], []
-    for i, v in enumerate(instance.players):
-        rep = demand.demand_sets(v, prices)
-        if rep.utility == 0:
-            empty.append(i)
-        elif any(popcount(s) >= 2 for s in rep.demand):
-            pairs.append(i)
+    for r in reports:
+        if r.utility == 0:
+            empty.append(r.player)
+        elif any(popcount(s) >= 2 for s in r.demand):
+            pairs.append(r.player)
         else:
-            small.append(i)
+            small.append(r.player)
     return PlayerClass(tuple(small), tuple(pairs), tuple(empty))
 
 
@@ -140,10 +138,10 @@ def build_demand_graph(instance: Instance, prices: Prices,
                        players: Sequence[int]) -> DemandGraph:
     """Edges (i, x) for every singleton {x} demanded by player i."""
     prices = tuple(prices)
+    reports = demand.demand_reports(instance, prices)
     edges = []
     for i in sorted(players):
-        rep = demand.demand_sets(instance.players[i], prices)
-        for s in rep.demand:
+        for s in reports[i].demand:
             if popcount(s) == 1:
                 edges.append((i, s.bit_length() - 1))
     return DemandGraph(
@@ -238,8 +236,8 @@ def max_matching(g: DemandGraph, must_match: Sequence[int]) -> MatchingResult:
     cover_players = tuple(i for i in g.left if i not in reach_p)
     cover_items = tuple(x for x in sorted(reach_i))
     matching = tuple(sorted(match_p.items()))
-    assert len(cover_players) + len(cover_items) == len(matching), \
-        "cover size mismatch; matching was not maximum"
+    if len(cover_players) + len(cover_items) != len(matching):
+        raise InvariantViolation("cover size mismatch; matching was not maximum")
 
     unmatched_players = tuple(i for i in g.left if i not in match_p)
     unmatched_min = g.min_bundle & ~sum(1 << x for x in match_i)
@@ -253,24 +251,6 @@ def _induced_instance(instance: Instance, small: Sequence[int]) -> Instance:
         for i in small
     ]
     return make_instance(instance.items, [make_unit_demand(s) for s in singles])
-
-
-def induced_gs_step(instance: Instance, prices: Prices) -> int:
-    """Over-demanded set of the unit-demand market induced on small players.
-
-    Raises NoObstacle when no small player exists or their singleton market
-    has no over-demanded set, which is exactly when a saturating matching
-    exists and the caller should move on to matching.
-    """
-    prices = tuple(prices)
-    cls = classify_players(instance, prices)
-    if not cls.small:
-        raise NoObstacle("no singleton-only players")
-    induced = _induced_instance(instance, cls.small)
-    ob = demand.over_demanded_set(induced, prices)
-    if ob.excess <= 0:
-        raise NoObstacle("singleton-only players admit a matching")
-    return ob.bundle
 
 
 def _completion_pass(instance: Instance, prices: Prices,
@@ -288,7 +268,7 @@ def _completion_pass(instance: Instance, prices: Prices,
                  if prices[j] > 0 and not taken >> j & 1]
     if not uncovered:
         return True
-    tops = [demand.demand_sets(v, prices) for v in instance.players]
+    tops = demand.demand_reports(instance, prices)
 
     def place(idx: int) -> bool:
         if idx == len(uncovered):
@@ -328,28 +308,23 @@ def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCert
             trace = AuctionTrace("ggs2", tuple(steps), p, False, True,
                                  tuple(anomalies))
             return trace, cert
-        cls = classify_players(instance, p)
-        raised = 0
-        f_val = 0
+        # the shape was checked once above, so classify without common_cap
+        cls = _classify(demand.demand_reports(instance, p))
         if cls.small:
             induced = _induced_instance(instance, cls.small)
             ob = demand.over_demanded_set(induced, p)
             if ob.excess > 0:
-                raised, f_val = ob.bundle, ob.excess
-        if raised == 0:
-            # per-player overlap counts are nonnegative, so the whole
-            # market's excess dominates the induced one; an over-demanded
-            # set here rules out stopping and its unit raise stays under
-            # every Walrasian price, covering states the singleton-only
-            # step cannot see (e.g. items nobody values at the current
-            # margin whose price must not rise)
-            ob = demand.over_demanded_set(instance, p)
-            if ob.excess > 0:
-                raised, f_val = ob.bundle, ob.excess
-        if raised:
-            lyap = demand.lyapunov(instance, p)
-            steps.append(AuctionStep(len(steps), p, raised, lyap, f_val))
-            p = add_indicator(p, raised)
+                p = _record_step(instance, steps, p, ob.bundle, ob.excess)
+                continue
+        # per-player overlap counts are nonnegative, so the whole market's
+        # excess dominates the induced one; an over-demanded set here rules
+        # out stopping and its unit raise stays under every Walrasian
+        # price, covering states the singleton-only step cannot see (e.g.
+        # items nobody values at the current margin whose price must not
+        # rise)
+        ob = demand.over_demanded_set(instance, p)
+        if ob.excess > 0:
+            p = _record_step(instance, steps, p, ob.bundle, ob.excess)
             continue
 
         active = tuple(sorted(cls.small + cls.pair_players))
@@ -375,11 +350,21 @@ def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCert
                                  tuple(anomalies))
             return trace, cert
 
-        raised = min_items(p).min_bundle
-        lyap = demand.lyapunov(instance, p)
+        p = _record_step(instance, steps, p, min_items(p).min_bundle)
+
+
+def _record_step(instance: Instance, steps: list[AuctionStep], p: Prices,
+                 raised: int, f_val: Optional[int] = None) -> Prices:
+    """Append the unit raise of raised at p to steps; return the new price.
+
+    f_val defaults to the whole market's excess demand for raised. No
+    Lyapunov-rise check runs here, unlike the obstacle loop.
+    """
+    lyap = demand.lyapunov(instance, p)
+    if f_val is None:
         f_val = demand.excess_demand(instance, p, raised)
-        steps.append(AuctionStep(len(steps), p, raised, lyap, f_val))
-        p = add_indicator(p, raised)
+    steps.append(AuctionStep(len(steps), p, raised, lyap, f_val))
+    return add_indicator(p, raised)
 
 
 def gen_dom_check(instance: Instance, prices: Prices, p_star: Prices,
@@ -410,7 +395,7 @@ def gen_dom_check(instance: Instance, prices: Prices, p_star: Prices,
 def certificate_to_json(cert: oracle.WalrasianCertificate,
                         instance: Instance) -> dict:
     return {
-        "price": {instance.items[j]: cert.price[j] for j in range(instance.m)},
+        "price": prices_to_json(cert.price, instance),
         "allocation": None if cert.allocation is None else [
             instance.label_bundle(b) for b in cert.allocation
         ],

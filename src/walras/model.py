@@ -9,21 +9,47 @@ values are kept at desk scale.
 
 All values and prices are integers. Rational inputs are rejected rather
 than scaled.
+
+The error types shared by every module live here too, with the one
+enumeration budget: each exhaustive search checks its size against a
+default that WALRAS_BUDGET overrides, and raises BudgetExceeded past it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 MAX_ITEMS = 20
 DEFAULT_VMAX = 64
+DEFAULT_OP_BUDGET = 20_000_000
+DEFAULT_GRID_BUDGET = 1 << 22
 
 
 class ModelError(ValueError):
     """Malformed model input (bad table, bad labels, bad JSON)."""
+
+
+class BudgetExceeded(RuntimeError):
+    """The requested enumeration is larger than the configured budget."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed; this is a bug, not bad input."""
+
+
+def env_budget(default: int) -> int:
+    """Default enumeration budget, overridable via WALRAS_BUDGET."""
+    raw = os.environ.get("WALRAS_BUDGET")
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise BudgetExceeded(f"WALRAS_BUDGET must be an integer, got {raw!r}")
 
 
 class TruncationBoundsViolated(ModelError):
@@ -48,13 +74,6 @@ def iter_items(mask: int) -> Iterable[int]:
 def lex_key(mask: int) -> tuple[int, ...]:
     """Sort key realizing 'lexicographically smallest bundle by item order'."""
     return tuple(iter_items(mask))
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    out = 0
-    for j in indices:
-        out |= 1 << j
-    return out
 
 
 def _require_int(x, what: str) -> int:
@@ -272,13 +291,6 @@ def allocation_disjoint(alloc: Allocation) -> bool:
     return True
 
 
-def allocation_union(alloc: Allocation) -> int:
-    out = 0
-    for bundle in alloc:
-        out |= bundle
-    return out
-
-
 @dataclass(frozen=True)
 class Instance:
     """A market: item labels plus one valuation per player."""
@@ -445,7 +457,11 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def prices_from_json(obj: Union[str, Mapping], instance: Instance) -> Prices:
-    """Parse a per-item price map, requiring every item exactly once."""
+    """Parse a per-item price map, requiring every item exactly once.
+
+    Prices are bounded so that all m of them plus a unit raise of each sum
+    inside int64, the dtype of every vectorized price computation.
+    """
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
@@ -453,6 +469,7 @@ def prices_from_json(obj: Union[str, Mapping], instance: Instance) -> Prices:
             raise ModelError(f"invalid price JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ModelError("prices must be a JSON object of item: price")
+    limit = (2 ** 63 - 1) // (instance.m + 1)
     out = []
     for label in instance.items:
         if label not in obj:
@@ -460,6 +477,8 @@ def prices_from_json(obj: Union[str, Mapping], instance: Instance) -> Prices:
         x = _require_int(obj[label], f"price of {label!r}")
         if x < 0:
             raise ModelError(f"price of {label!r} must be nonnegative")
+        if x > limit:
+            raise ModelError(f"price of {label!r} exceeds {limit}")
         out.append(x)
     extra = set(obj) - set(instance.items)
     if extra:

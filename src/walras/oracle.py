@@ -16,7 +16,6 @@ property of the input.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -25,26 +24,9 @@ import numpy as np
 
 from . import demand
 from .model import (
-    Allocation, Instance, Prices, is_submodular, lex_key, popcount,
+    DEFAULT_GRID_BUDGET, DEFAULT_OP_BUDGET, Allocation, BudgetExceeded,
+    Instance, InvariantViolation, Prices, env_budget, is_submodular, popcount,
 )
-
-DEFAULT_OP_BUDGET = 20_000_000
-DEFAULT_GRID_BUDGET = 1 << 22
-
-
-class BudgetExceeded(RuntimeError):
-    """The requested enumeration is larger than the configured budget."""
-
-
-def env_budget(default: int) -> int:
-    """Default enumeration budget, overridable via WALRAS_BUDGET."""
-    raw = os.environ.get("WALRAS_BUDGET")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise BudgetExceeded(f"WALRAS_BUDGET must be an integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -201,17 +183,18 @@ def is_walrasian(instance: Instance, prices: Prices,
 
     The returned certificate is valid exactly when the price is Walrasian.
     When an envy-free covering allocation exists the Lyapunov value must
-    equal the maximum welfare; that equality failing is asserted as a bug.
+    equal the maximum welfare; that equality failing raises
+    InvariantViolation.
     """
     prices = tuple(prices)
     lyap = demand.lyapunov(instance, prices)
     welfare = max_welfare(instance, budget=budget).welfare
     covered = _allocation_search(instance, prices, require_coverage=True)
     if covered is not None:
-        assert lyap == welfare, (
-            "envy-free covering allocation found but Lyapunov != max welfare; "
-            "this is a bug"
-        )
+        if lyap != welfare:
+            raise InvariantViolation(
+                "envy-free covering allocation found but Lyapunov != max welfare"
+            )
         return WalrasianCertificate(
             price=prices, allocation=covered, envy_free=True, coverage=True,
             bm_equality=True, lyapunov=lyap, max_welfare=welfare,
@@ -290,8 +273,7 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
     if total > budget:
         raise BudgetExceeded(f"price grid has {total} points, budget {budget}")
 
-    m = instance.m
-    bits, _ = _static_bits(m)
+    bits, _ = demand._static(instance.m)
     welfare = max_welfare(instance, budget=budget).welfare
     best = None
     minimizers: list[Prices] = []
@@ -300,12 +282,7 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
     overflow = False
     chunk = 1 << 14
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        grid = np.empty((len(idx), m), dtype=np.int64)
-        rem = idx
-        for j in range(m - 1, -1, -1):
-            grid[:, j] = rem % radix[j]
-            rem = rem // radix[j]
+        grid = demand._price_grid(radix, start, min(start + chunk, total))
         pcost = grid @ bits.T
         lvals = grid.sum(axis=1)
         for v in instance.players:
@@ -330,7 +307,8 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
     meet_price = tuple(int(x) for x in meet)
     if demand.lyapunov(instance, meet_price) == welfare:
         cert = is_walrasian(instance, meet_price, budget=budget)
-        assert cert.valid, "Lyapunov minimizer failed certification; this is a bug"
+        if not cert.valid:
+            raise InvariantViolation("Lyapunov minimizer failed certification")
         return MinimalPriceReport(price=meet_price, unique=True,
                                   all_minimal=(meet_price,))
     if overflow:
@@ -344,8 +322,3 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
     minimal.sort()
     return MinimalPriceReport(price=minimal[0], unique=len(minimal) == 1,
                               all_minimal=tuple(minimal))
-
-
-def _static_bits(m: int):
-    from .demand import _static
-    return _static(m)

@@ -24,20 +24,12 @@ import numpy as np
 
 from . import demand
 from .model import (
-    Instance, Prices, Valuation, add_indicator, iter_items, lex_key,
-    is_submodular, first_monotonicity_violation, popcount,
+    DEFAULT_GRID_BUDGET, BudgetExceeded, Instance, InvariantViolation, Prices,
+    Valuation, add_indicator, env_budget, iter_items, is_submodular,
+    first_monotonicity_violation, popcount,
 )
 
-DEFAULT_GRID_BUDGET = 4_000_000
 DEFAULT_SEARCH_BUDGET = 200_000
-
-
-class GridTooLarge(RuntimeError):
-    """The price grid scan would exceed the configured budget."""
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """The completion search would exceed the configured budget."""
 
 
 class UnclassifiableTransition(RuntimeError):
@@ -90,29 +82,28 @@ def gs_witness_holds(v: Valuation, witness: GsWitness) -> bool:
 
 
 def check_gs_on_grid(v: Valuation, bound: Optional[int] = None,
-                     budget: int = DEFAULT_GRID_BUDGET) -> Optional[GsWitness]:
+                     budget: Optional[int] = None) -> Optional[GsWitness]:
     """Scan the doubled-price grid for a substitutes violation.
 
     Returns None on a clean pass (heuristic evidence) or the first witness
     in scan order (sound). bound defaults to one past twice the largest
     value, which covers every price at which demand can still change.
+    The scan visits (bound + 1)**m * m grid entries, at most budget
+    (default: the grid budget, or WALRAS_BUDGET).
     """
     m = v.m
     doubled = np.asarray(v.table, dtype=np.int64) * 2
     if bound is None:
         bound = 2 * v.vmax + 1
+    if budget is None:
+        budget = env_budget(DEFAULT_GRID_BUDGET)
     radix = bound + 1
     points = radix ** m
     if points * m > budget:
-        raise GridTooLarge(f"grid scan needs {points * m} visits, budget {budget}")
+        raise BudgetExceeded(f"grid scan needs {points * m} visits, budget {budget}")
 
     bits, _ = demand._static(m)
-    idx = np.arange(points, dtype=np.int64)
-    grid = np.empty((points, m), dtype=np.int64)
-    rem = idx
-    for j in range(m - 1, -1, -1):
-        grid[:, j] = rem % radix
-        rem = rem // radix
+    grid = demand._price_grid([radix] * m, 0, points)
     pcost = grid @ bits.T
     util = doubled[None, :] - pcost
     top = util.max(axis=1)
@@ -155,7 +146,8 @@ def check_gs_on_grid(v: Valuation, bound: Optional[int] = None,
         violated = min(iter_items(excluded))
     witness = GsWitness(price_low=p, price_high=q, bundle=s,
                         kept_bundle=kept, violated_item=violated)
-    assert gs_witness_holds(v, witness), "grid scan produced a bad witness; bug"
+    if not gs_witness_holds(v, witness):
+        raise InvariantViolation("grid scan produced a bad witness")
     return witness
 
 
@@ -340,8 +332,8 @@ class GgsMembershipReport:
 
 
 def is_ggs_member(v: Valuation, k: int, cap: int,
-                  budget: int = DEFAULT_SEARCH_BUDGET,
-                  grid_budget: int = DEFAULT_GRID_BUDGET) -> GgsMembershipReport:
+                  budget: Optional[int] = None,
+                  grid_budget: Optional[int] = None) -> GgsMembershipReport:
     """Decide membership in the truncation class by completion search.
 
     The valuation must equal cap on every bundle of size k or more and stay
@@ -349,8 +341,12 @@ def is_ggs_member(v: Valuation, k: int, cap: int,
     substitutes valuation agreeing below size k and sitting at or above cap
     from size k up. The search enumerates completions in increasing value
     order, pruning by monotonicity, local submodularity and subadditivity,
-    and certifies candidates with the grid check.
+    and certifies candidates with the grid check. budget bounds the search
+    nodes and grid_budget each grid check; unset, each takes its default,
+    which WALRAS_BUDGET overrides.
     """
+    if budget is None:
+        budget = env_budget(DEFAULT_SEARCH_BUDGET)
     m = v.m
     for s in range(1 << m):
         size = popcount(s)
@@ -388,7 +384,7 @@ def is_ggs_member(v: Valuation, k: int, cap: int,
         nonlocal visits
         visits += 1
         if visits > budget:
-            raise SearchBudgetExceeded(f"completion search passed {budget} nodes")
+            raise BudgetExceeded(f"completion search passed {budget} nodes")
         if i == len(large):
             candidate = tuple(table)
             if first_monotonicity_violation(candidate, m) is not None:

@@ -85,6 +85,33 @@ def test_iteration_cap_flagged_not_raised(monkeypatch):
     assert len(trace.steps) == 1
 
 
+def test_policy_not_consulted_at_the_capped_step(monkeypatch):
+    # stop test, then cap, then choose: an invalid pick at the capped step
+    # never surfaces as a PolicyViolation
+    monkeypatch.setattr(auctions, "iteration_cap", lambda inst: 2)
+    calls = []
+
+    def bad_from_step_two(ob, prices, t):
+        calls.append(t)
+        return ob.bundle if t < 2 else 0
+
+    trace = auctions.run_with_policy(two_buyers_one_item(), bad_from_step_two)
+    assert trace.iteration_cap_hit
+    assert calls == [0, 1]
+
+    monkeypatch.setattr(auctions, "iteration_cap", lambda inst: 3)
+    with pytest.raises(auctions.PolicyViolation):
+        auctions.run_with_policy(two_buyers_one_item(), bad_from_step_two)
+
+
+def test_ausubel_iteration_cap(monkeypatch):
+    monkeypatch.setattr(auctions, "iteration_cap", lambda inst: 1)
+    trace = auctions.ausubel_ascending(two_buyers_one_item())
+    assert trace.iteration_cap_hit and not trace.terminated
+    assert steps_of(trace) == [((0,), 0b1)]
+    assert trace.anomalies == ("iteration cap 1 hit",)
+
+
 def test_trace_json_shape():
     inst = two_buyers_one_item()
     payload = auctions.trace_to_json(auctions.fine_auction(inst), inst)

@@ -157,3 +157,59 @@ def test_inspect(capsys, two_path):
     assert payload["lyapunov"] == 8
     assert payload["over_demanded_set"]["bundle"] == ["x"]
     assert len(payload["players"]) == 2
+
+
+def write_instance(tmp_path, inst, name):
+    path = tmp_path / name
+    path.write_text(model.instance_to_json(inst))
+    return str(path)
+
+
+def test_run_certificate_over_budget_is_an_error(capsys, tmp_path, monkeypatch):
+    # max_welfare caches per (instance, budget) and checks the budget only
+    # on a miss, so this instance must be one no other test solves
+    inst = make_instance(["over", "budget"],
+                         [make_unit_demand((3, 2)), make_unit_demand((2, 3))])
+    path = write_instance(tmp_path, inst, "over.json")
+    monkeypatch.setenv("WALRAS_BUDGET", "10")
+    assert cli.main(["run", "--instance", path, "--algorithm", "gs"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: welfare DP needs")
+
+
+def test_run_ausubel_beyond_after_raise_budget_is_an_error(capsys, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.delenv("WALRAS_BUDGET", raising=False)
+    inst = make_instance([f"i{j}" for j in range(13)],
+                         [make_unit_demand(range(1, 14))] * 2)
+    path = write_instance(tmp_path, inst, "thirteen.json")
+    assert cli.main(["run", "--instance", path, "--algorithm", "ausubel"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: after-raise table needs")
+
+
+def test_inspect_price_bounded_inside_int64(capsys, two_path):
+    code = cli.main(["inspect", "--instance", two_path,
+                     "--price", '{"x": 99999999999999999999}'])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: price of 'x' exceeds")
+
+    # the largest accepted price evaluates without int64 wraparound
+    top = (2 ** 63 - 1) // 2
+    code, payload = run_cli(capsys, "inspect", "--instance", two_path,
+                            "--price", json.dumps({"x": top}))
+    assert code == 0
+    assert payload["lyapunov"] == top
+    assert payload["minimal_minimizer"]["bundle"] == []
+
+
+def test_check_gs_reports_the_budget(capsys, two_path, monkeypatch):
+    monkeypatch.setenv("WALRAS_BUDGET", "10")
+    code, payload = run_cli(capsys, "check", "gs", "--instance", two_path)
+    assert code == 1
+    assert payload["violations"][0]["kind"] == "grid too large"
+    assert "budget 10" in payload["violations"][0]["detail"]

@@ -108,6 +108,17 @@ def test_solo_pair_player_stops_at_zero():
     assert cert.allocation == (0b11,)
 
 
+def test_auction_checks_the_shape_once(monkeypatch):
+    calls = []
+    real = ggs2.common_cap
+    monkeypatch.setattr(ggs2, "common_cap",
+                        lambda inst: calls.append(1) or real(inst))
+    trace, cert = ggs2.ggs2_auction(claim_instance())
+    assert len(trace.steps) > 1
+    assert cert.valid
+    assert len(calls) == 1
+
+
 def test_auction_rejects_non_pair_cap_instances():
     with pytest.raises(ggs2.NotGgs2Instance):
         ggs2.ggs2_auction(make_instance(

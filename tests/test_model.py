@@ -123,6 +123,11 @@ def test_price_json_round_trip():
         prices_from_json('{"x": 4}', inst)
     with pytest.raises(ModelError):
         prices_from_json('{"x": -1, "y": 0}', inst)
+    # two prices plus a unit raise of each must sum inside int64
+    top = (2 ** 63 - 1) // 3
+    assert prices_from_json({"x": top, "y": top}, inst) == (top, top)
+    with pytest.raises(ModelError):
+        prices_from_json({"x": top + 1, "y": 0}, inst)
 
 
 def test_instance_json_round_trip_identity():

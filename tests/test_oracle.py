@@ -1,10 +1,16 @@
 """Brute-force oracle: welfare DP, envy-free search, Walrasian certification."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import walras
 from walras import demand, model, oracle
 from walras.model import make_instance, make_unit_demand, make_additive
 
@@ -131,3 +137,33 @@ def test_env_budget_override(monkeypatch):
     monkeypatch.setenv("WALRAS_BUDGET", "junk")
     with pytest.raises(oracle.BudgetExceeded):
         oracle.env_budget(10)
+
+
+def test_invariant_violation_survives_python_O():
+    # a max_welfare off by one makes the covering allocation at the
+    # Walrasian price disagree with the welfare; under -O an assert would
+    # vanish and the certificate would claim bm_equality falsely
+    code = textwrap.dedent("""
+        import dataclasses, sys
+        import walras
+        from walras import oracle
+        from walras.model import make_instance, make_unit_demand
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        real = oracle.max_welfare
+        oracle.max_welfare = lambda inst, budget=None: dataclasses.replace(
+            real(inst, budget), welfare=real(inst, budget).welfare + 1)
+        inst = make_instance(["x"], [make_unit_demand((5,)),
+                                     make_unit_demand((5,))])
+        try:
+            cert = oracle.is_walrasian(inst, (5,))
+        except walras.InvariantViolation:
+            sys.exit(0)
+        sys.exit(f"no InvariantViolation, certificate {cert}")
+    """)
+    src = str(Path(walras.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

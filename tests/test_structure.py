@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walras import demand, model, structure
+from walras import demand, model, oracle, structure
 from walras.model import make_additive, make_instance, make_table, \
     make_truncation, make_unit_demand
 
@@ -54,7 +54,7 @@ def test_witness_verifier_rejects_fabrication():
 
 
 def test_grid_budget_guard():
-    with pytest.raises(structure.GridTooLarge):
+    with pytest.raises(oracle.BudgetExceeded):
         structure.check_gs_on_grid(make_unit_demand((8,) * 6), budget=100)
 
 
