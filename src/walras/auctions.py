@@ -16,6 +16,7 @@ into a flagged, unterminated trace rather than an endless run.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -124,6 +125,18 @@ def run_with_policy(instance: Instance, policy: Policy,
 def ausubel_ascending(instance: Instance) -> AuctionTrace:
     """Raise the minimal Lyapunov-minimizing set until it is empty."""
     return _ascend(instance, "ausubel", _minimizer_rule)
+
+
+def seeded_policy(seed: int) -> Policy:
+    """Raise a random nonempty part of the obstacle, drawn from seed."""
+    rng = random.Random(seed)
+
+    def policy(ob: demand.ObstacleReport, prices: Prices, t: int) -> int:
+        items = list(iter_items(ob.bundle))
+        take = rng.randint(1, len(items))
+        return sum(1 << j for j in rng.sample(items, take))
+
+    return policy
 
 
 def monitor_domination(trace: AuctionTrace, p_star: Prices) -> Optional[int]:

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Optional, Sequence
 
 from . import auctions, demand, ggs2, oracle, structure
 from .model import (
     BudgetExceeded, Instance, ModelError, Prices, add_indicator,
-    instance_from_json, iter_items, make_instance, make_truncation,
-    make_unit_demand, prices_from_json, prices_to_json,
+    instance_from_json, make_instance, prices_from_json, prices_to_json,
 )
 
 ALGORITHMS = ("gs", "ausubel", "fine", "ggs2")
@@ -36,7 +34,7 @@ def _fail(message: str) -> int:
 
 
 def _load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return instance_from_json(fh.read())
 
 
@@ -48,21 +46,10 @@ def _emit(payload: dict, out: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
-def _seeded_policy(seed: int):
-    rng = random.Random(seed)
-
-    def policy(ob: demand.ObstacleReport, prices: Prices, t: int) -> int:
-        items = list(iter_items(ob.bundle))
-        take = rng.randint(1, len(items))
-        return sum(1 << j for j in rng.sample(items, take))
-
-    return policy
-
-
 def cmd_run(args) -> int:
     try:
         instance = _load_instance(args.instance)
-    except (OSError, ModelError, json.JSONDecodeError) as exc:
+    except (OSError, ModelError) as exc:
         return _fail(f"cannot load instance: {exc}")
 
     algorithm = args.algorithm
@@ -78,7 +65,7 @@ def cmd_run(args) -> int:
             trace, cert = ggs2.ggs2_auction(instance)
         elif algorithm.startswith("policy:"):
             trace = auctions.run_with_policy(
-                instance, _seeded_policy(args.seed), name=algorithm)
+                instance, auctions.seeded_policy(args.seed), name=algorithm)
         else:
             return _fail(f"unknown algorithm {algorithm!r}; "
                          f"choose from {ALGORITHMS + ('policy:<name>',)}")
@@ -212,7 +199,7 @@ def _check_ggs2_shape(instance: Instance) -> list[dict]:
 def cmd_check(args) -> int:
     try:
         instance = _load_instance(args.instance)
-    except (OSError, ModelError, json.JSONDecodeError) as exc:
+    except (OSError, ModelError) as exc:
         return _fail(f"cannot load instance: {exc}")
     runner = {
         "gs": _check_gs,
@@ -226,23 +213,9 @@ def cmd_check(args) -> int:
     return 0 if not findings else 1
 
 
-def demo_not_gs_valuation():
-    base = make_unit_demand((2, 2, 4))
-    return make_truncation(base, k=2, cap=4)
-
-
-def demo_claim_instance() -> Instance:
-    players = []
-    for _ in range(3):
-        players.append(make_truncation(make_unit_demand((1,) * 8), 2, 2))
-    for _ in range(2):
-        players.append(make_truncation(make_unit_demand((1,) * 7 + (2,)), 2, 2))
-    return make_instance([f"i{j}" for j in range(1, 9)], players)
-
-
 def cmd_demo(args) -> int:
     if args.name == "ggs2-not-gs":
-        v = demo_not_gs_valuation()
+        v = ggs2.demo_not_gs_valuation()
         inst = make_instance(["a", "b", "c"], [v])
         witness = structure.check_gs_on_grid(v)
         doubled_v = type(v)(m=v.m, table=tuple(2 * x for x in v.table))
@@ -280,7 +253,7 @@ def cmd_demo(args) -> int:
         return 0 if ok else 1
 
     if args.name == "no-obstacle-no-allocation":
-        inst = demo_claim_instance()
+        inst = ggs2.demo_claim_instance()
         p0 = inst.zero_prices()
         ob = demand.over_demanded_set(inst, p0)
         alloc = oracle.envy_free_exists(inst, p0)
@@ -308,7 +281,7 @@ def cmd_demo(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         instance = _load_instance(args.instance)
-    except (OSError, ModelError, json.JSONDecodeError) as exc:
+    except (OSError, ModelError) as exc:
         return _fail(f"cannot load instance: {exc}")
     budget = args.budget
 
@@ -352,7 +325,7 @@ def cmd_inspect(args) -> int:
     try:
         instance = _load_instance(args.instance)
         prices = prices_from_json(args.price, instance)
-    except (OSError, ModelError, json.JSONDecodeError) as exc:
+    except (OSError, ModelError) as exc:
         return _fail(str(exc))
     reports = demand.demand_reports(instance, prices)
     ob = demand.over_demanded_set(instance, prices)

@@ -20,7 +20,12 @@ Lyapunov function. On gross-substitutes input the two coincide step for step,
 which the auction engines exploit and the tests verify.
 
 All searches enumerate all 2**m bundles exhaustively; numpy keeps that cheap
-at desk scale. Results are cached per (instance, prices).
+at desk scale. The per-price views behind these reports are memoized for
+one market at a time: the instance (or, for demand_sets and
+min_demand_overlap, the valuation) queried last, compared by identity, so
+the engines run on one market share its views without hashing its tables.
+A query on another market, or a miss once MEMO_VIEWS views are held, starts
+the memo afresh.
 """
 
 from __future__ import annotations
@@ -65,11 +70,7 @@ def _price_grid(radix, start: int, stop: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _intersection_popcount(m: int):
     """Matrix |S & T| for all bundle pairs: 4**m entries, so the default
-    op budget stops it past 12 items."""
-    budget = env_budget(DEFAULT_OP_BUDGET)
-    if 4 ** m > budget:
-        raise BudgetExceeded(
-            f"after-raise table needs {4 ** m} entries, budget {budget}")
+    op budget stops _lyapunov_after_raise past 12 items."""
     masks = np.arange(1 << m, dtype=np.int64)
     _, pc = _static(m)
     inter = pc[masks[:, None] & masks[None, :]]
@@ -101,36 +102,60 @@ class _PlayerView:
 
 
 class _MarketView:
-    __slots__ = ("instance", "prices", "players", "excess", "pcost")
+    __slots__ = ("players", "excess", "pcost")
 
-    def __init__(self, instance, prices, players, excess, pcost):
-        self.instance = instance
-        self.prices = prices
+    def __init__(self, players, excess, pcost):
         self.players = players
         self.excess = excess        # excess demand per bundle mask
         self.pcost = pcost
 
 
-@lru_cache(maxsize=4096)
-def _market(instance: Instance, prices: Prices) -> _MarketView:
-    m = instance.m
+# The most views held for one market. The benchmark's ladder and corpus
+# markets stay under 500, so every engine run on one market shares its
+# views; deep's runs of up to 1,024 steps restart the memo instead of
+# pinning more.
+MEMO_VIEWS = 1024
+
+# (owner, views by price) for the market queried last. Swapped as one
+# tuple, so a reader never pairs one market's owner with another's views.
+_memo: tuple[object, dict] = (None, {})
+
+
+def _view(owner, players: tuple[Valuation, ...], m: int,
+          prices: Prices) -> _MarketView:
+    global _memo
+    prices = tuple(prices)
+    held, views = _memo
+    if held is owner and prices in views:
+        return views[prices]
+    if held is not owner or len(views) >= MEMO_VIEWS:
+        views = {}
+        _memo = (owner, views)
     if len(prices) != m:
         raise ValueError(f"price vector has {len(prices)} entries, instance has {m}")
     bits, pc = _static(m)
-    pvec = np.asarray(prices, dtype=np.int64)
-    pcost = bits @ pvec
-    players = []
+    pcost = bits @ np.asarray(prices, dtype=np.int64)
+    reports = []
     excess = -pc.copy()
-    for v in instance.players:
+    for v in players:
         util = v.np_table - pcost
         top = int(util.max())
         demand = tuple(int(s) for s in np.nonzero(util == top)[0])
         minimal = _minimal_members(demand)
         overlap = pc[np.asarray(minimal, dtype=np.int64)[:, None]
                      & np.arange(1 << m, dtype=np.int64)[None, :]].min(axis=0)
-        players.append(_PlayerView(top, demand, minimal, overlap))
+        reports.append(_PlayerView(top, demand, minimal, overlap))
         excess = excess + overlap
-    return _MarketView(instance, prices, tuple(players), excess, pcost)
+    view = views[prices] = _MarketView(tuple(reports), excess, pcost)
+    return view
+
+
+def _market(instance: Instance, prices: Prices) -> _MarketView:
+    return _view(instance, instance.players, instance.m, prices)
+
+
+def _player(v: Valuation, prices: Prices) -> _PlayerView:
+    return _view(v, (v,), v.m, prices).players[0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +205,12 @@ def utility(v: Valuation, prices: Prices, bundle: int) -> int:
 
 def demand_sets(v: Valuation, prices: Prices, player: int = 0) -> DemandReport:
     """Full and minimal demand families of one valuation, by enumeration."""
-    view = _market(_single(v), tuple(prices)).players[0]
+    view = _player(v, prices)
     return DemandReport(player, view.utility, view.demand, view.minimal)
 
 
-@lru_cache(maxsize=512)
-def _single(v: Valuation) -> Instance:
-    items = tuple(f"i{j}" for j in range(v.m))
-    return Instance(items=items, players=(v,))
-
-
 def demand_reports(instance: Instance, prices: Prices) -> tuple[DemandReport, ...]:
-    view = _market(instance, tuple(prices))
+    view = _market(instance, prices)
     return tuple(
         DemandReport(i, pl.utility, pl.demand, pl.minimal)
         for i, pl in enumerate(view.players)
@@ -200,13 +219,12 @@ def demand_reports(instance: Instance, prices: Prices) -> tuple[DemandReport, ..
 
 def min_demand_overlap(v: Valuation, prices: Prices, bundle: int) -> int:
     """Smallest |D & bundle| over the minimal demand family D*(p)."""
-    view = _market(_single(v), tuple(prices)).players[0]
-    return int(view.overlap[bundle])
+    return int(_player(v, prices).overlap[bundle])
 
 
 def excess_demand(instance: Instance, prices: Prices, bundle: int) -> int:
     """Sum of unavoidable overlaps with the bundle minus the bundle size."""
-    view = _market(instance, tuple(prices))
+    view = _market(instance, prices)
     return int(view.excess[bundle])
 
 
@@ -216,7 +234,7 @@ def over_demanded_set(instance: Instance, prices: Prices) -> ObstacleReport:
     Among incomparable minimal maximizers the lexicographically smallest by
     item order is returned and the unique flag is cleared.
     """
-    view = _market(instance, tuple(prices))
+    view = _market(instance, prices)
     top = int(view.excess.max())
     if top <= 0:
         return ObstacleReport(0, 0, (0,) * instance.n, True)
@@ -233,14 +251,18 @@ def over_demanded_set(instance: Instance, prices: Prices) -> ObstacleReport:
 
 def lyapunov(instance: Instance, prices: Prices) -> int:
     """Total maximum utility plus total price."""
-    view = _market(instance, tuple(prices))
+    view = _market(instance, prices)
     return sum(pl.utility for pl in view.players) + sum(prices)
 
 
 def _lyapunov_after_raise(instance: Instance, prices: Prices) -> np.ndarray:
     """Vector of L(p + 1_S) over all bundles S."""
-    view = _market(instance, tuple(prices))
+    view = _market(instance, prices)
     m = instance.m
+    budget = env_budget(DEFAULT_OP_BUDGET)
+    if 4 ** m > budget:
+        raise BudgetExceeded(
+            f"after-raise table needs {4 ** m} entries, budget {budget}")
     _, pc = _static(m)
     inter = _intersection_popcount(m)
     total = pc + sum(prices)

@@ -24,7 +24,8 @@ from . import demand, oracle
 from .auctions import AuctionStep, AuctionTrace, iteration_cap
 from .model import (
     Allocation, Instance, InvariantViolation, Prices, add_indicator, dominated,
-    iter_items, make_instance, make_unit_demand, popcount, prices_to_json,
+    iter_items, make_instance, make_truncation, make_unit_demand, popcount,
+    prices_to_json,
 )
 
 
@@ -404,3 +405,20 @@ def certificate_to_json(cert: oracle.WalrasianCertificate,
         "lyapunov": cert.lyapunov,
         "max_welfare": cert.max_welfare,
     }
+
+
+def demo_not_gs_valuation():
+    """A pair-capped truncation that is not gross substitutes."""
+    base = make_unit_demand((2, 2, 4))
+    return make_truncation(base, k=2, cap=4)
+
+
+def demo_claim_instance() -> Instance:
+    """A pair-capped market with no over-demanded set at zero prices and
+    no envy-free allocation there either."""
+    players = []
+    for _ in range(3):
+        players.append(make_truncation(make_unit_demand((1,) * 8), 2, 2))
+    for _ in range(2):
+        players.append(make_truncation(make_unit_demand((1,) * 7 + (2,)), 2, 2))
+    return make_instance([f"i{j}" for j in range(1, 9)], players)

@@ -369,7 +369,8 @@ def _singleton_values(obj: Mapping, items: Sequence[str], what: str) -> list[int
     return out
 
 
-def _player_from_json(obj, items: Sequence[str], index: Mapping[str, int]) -> Valuation:
+def _player_from_json(obj, items: Sequence[str], index: Mapping[str, int],
+                      depth: int = 0) -> Valuation:
     if not isinstance(obj, dict):
         raise ModelError("player must be a JSON object")
     kind = obj.get("type")
@@ -398,7 +399,13 @@ def _player_from_json(obj, items: Sequence[str], index: Mapping[str, int]) -> Va
     if kind == "truncation":
         if "k" not in obj or "M" not in obj or "base" not in obj:
             raise ModelError("truncation player needs 'k', 'M' and 'base'")
-        base = _player_from_json(obj["base"], items, index)
+        # k runs over 1..m+1 and an inner level sets values only below
+        # every outer level's k, so a longer chain has a level that sets
+        # no value; the bound also keeps the recursive hash and equality
+        # of the valuation inside the stack limit
+        if depth > len(items):
+            raise ModelError(f"truncation chain deeper than {len(items) + 1} levels")
+        base = _player_from_json(obj["base"], items, index, depth + 1)
         return make_truncation(base, _require_int(obj["k"], "k"), _require_int(obj["M"], "M"))
     raise ModelError(f"unknown player type {kind!r}")
 
@@ -424,20 +431,35 @@ def _player_to_json(v: Valuation, items: Sequence[str]) -> dict:
     }
 
 
-def instance_from_json(text: str, vmax: int = DEFAULT_VMAX) -> Instance:
-    """Parse an instance from its JSON document, validating every player."""
+def _loads(text: Union[str, bytes], what: str):
+    """json.loads with every way malformed input can fail as a ModelError."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelError(f"invalid JSON: {e}") from e
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return json.loads(text)
+    except RecursionError as e:
+        raise ModelError(f"{what} is nested too deeply") from e
+    except ValueError as e:     # not UTF-8, not JSON, or an over-long integer
+        raise ModelError(f"invalid {what}: {e}") from e
+
+
+def instance_from_json(text: Union[str, bytes], vmax: int = DEFAULT_VMAX) -> Instance:
+    """Parse an instance from its JSON document, text or UTF-8 bytes,
+    validating every player."""
+    obj = _loads(text, "JSON")
     if not isinstance(obj, dict) or "items" not in obj or "players" not in obj:
         raise ModelError("instance needs 'items' and 'players'")
     items = obj["items"]
     if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
         raise ModelError("'items' must be a list of labels")
+    if not items or len(items) > MAX_ITEMS:
+        # before any table player allocates its 2**m entries
+        raise ModelError(f"item count must be in 1..{MAX_ITEMS}, got {len(items)}")
     index = {label: j for j, label in enumerate(items)}
     if len(index) != len(items):
         raise ModelError("duplicate item labels")
+    if not isinstance(obj["players"], list):
+        raise ModelError("'players' must be a list of players")
     players = [_player_from_json(p, items, index) for p in obj["players"]]
     instance = make_instance(items, players)
     for i, v in enumerate(instance.players):
@@ -463,10 +485,7 @@ def prices_from_json(obj: Union[str, Mapping], instance: Instance) -> Prices:
     inside int64, the dtype of every vectorized price computation.
     """
     if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as e:
-            raise ModelError(f"invalid price JSON: {e}") from e
+        obj = _loads(obj, "price JSON")
     if not isinstance(obj, dict):
         raise ModelError("prices must be a JSON object of item: price")
     limit = (2 ** 63 - 1) // (instance.m + 1)

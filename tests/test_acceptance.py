@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from walras import auctions, cli, demand, ggs2, model, oracle, structure
+from walras import auctions, demand, ggs2, model, oracle, structure
 from walras.model import add_indicator, dominated, make_truncation, \
     make_unit_demand, popcount
 
@@ -64,7 +64,7 @@ def test_criterion_1_non_gs_reproduction():
 
 def test_criterion_2_obstacle_failure_reproduction():
     started = time.perf_counter()
-    inst = cli.demo_claim_instance()
+    inst = ggs2.demo_claim_instance()
     assert inst.n == 5 and inst.m == 8
     p0 = inst.zero_prices()
     ob = demand.over_demanded_set(inst, p0)
@@ -210,7 +210,7 @@ def test_criterion_9_policy_invariance(corpus, gul_traces):
     for seed in range(10):
         for inst, gul in zip(corpus, gul_traces):
             trace = auctions.run_with_policy(
-                inst, cli._seeded_policy(seed), name=f"policy:{seed}")
+                inst, auctions.seeded_policy(seed), name=f"policy:{seed}")
             if not trace.terminated or \
                     trace.final_price != gul.final_price:
                 mismatches += 1

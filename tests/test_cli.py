@@ -1,8 +1,11 @@
 """Command-line front end: exit codes and JSON payloads."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from walras import auctions, cli, model
 from walras.model import make_instance, make_truncation, make_unit_demand
@@ -166,8 +169,6 @@ def write_instance(tmp_path, inst, name):
 
 
 def test_run_certificate_over_budget_is_an_error(capsys, tmp_path, monkeypatch):
-    # max_welfare caches per (instance, budget) and checks the budget only
-    # on a miss, so this instance must be one no other test solves
     inst = make_instance(["over", "budget"],
                          [make_unit_demand((3, 2)), make_unit_demand((2, 3))])
     path = write_instance(tmp_path, inst, "over.json")
@@ -213,3 +214,150 @@ def test_check_gs_reports_the_budget(capsys, two_path, monkeypatch):
     assert code == 1
     assert payload["violations"][0]["kind"] == "grid too large"
     assert "budget 10" in payload["violations"][0]["detail"]
+
+
+def deep_truncation(levels):
+    obj = {"type": "unit_demand", "values": {"x": 1}}
+    for _ in range(levels):
+        obj = {"type": "truncation", "k": 1, "M": 1, "base": obj}
+    return obj
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"\xff\xfe", "invalid JSON: 'utf-8' codec can't decode",
+                 id="not-utf8"),
+    pytest.param(b'{"items": ["x"], "players": 5}', "'players' must be a list",
+                 id="players-not-a-list"),
+    pytest.param(b"[" * 5000 + b"]" * 5000, "nested too deeply",
+                 id="nested-json"),
+    pytest.param(json.dumps({"items": ["x"],
+                             "players": [deep_truncation(900)]}).encode(),
+                 "truncation chain deeper than 2 levels", id="truncation-900"),
+    # deep enough that hashing the valuation overflows the stack
+    pytest.param(json.dumps({"items": ["x"],
+                             "players": [deep_truncation(300)]}).encode(),
+                 "truncation chain deeper than 2 levels", id="truncation-300"),
+    # 2**40 table entries would be allocated before the item count check
+    pytest.param(json.dumps({"items": [f"i{j}" for j in range(40)],
+                             "players": [{"type": "table", "values": {}}]}).encode(),
+                 "item count must be in 1..20", id="forty-items"),
+])
+def test_malformed_instance_is_an_error(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert cli.main(["run", "--instance", str(path), "--algorithm", "gs"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load instance: ")
+    assert message in captured.err
+
+
+def test_deeply_nested_price_is_an_error(capsys, two_path):
+    nested = "[" * 5000 + "]" * 5000
+    for argv in (["inspect", "--instance", two_path, f"--price={nested}"],
+                 ["oracle", "envy-free", "--instance", two_path,
+                  f"--price={nested}"]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: price JSON is nested too deeply\n"
+
+
+# malformed input for the fuzz test below: a valid instance document with
+# at most one value swapped for arbitrary JSON, or raw bytes and JSON that
+# are no instance at all
+json_leaf = (st.none() | st.booleans() | st.integers(-3, 70)
+             | st.sampled_from([2 ** 63, -2 ** 63, 10 ** 30])
+             | st.floats(allow_nan=False) | st.text(max_size=4))
+json_junk = st.recursive(
+    json_leaf,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8)
+raw_junk = st.sampled_from([b"", b"\xff\xfe", b"[" * 5000 + b"]" * 5000,
+                            b'{"items": ["x"], "players": 5}']) | st.binary(max_size=8)
+
+
+@st.composite
+def player_doc(draw, items, depth=0):
+    m = len(items)
+    kinds = ["unit_demand", "additive", "table"] + ["truncation"] * (depth < 2)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "truncation":
+        return {"type": kind, "k": draw(st.integers(1, m + 1)),
+                "M": draw(st.integers(0, 9)),
+                "base": draw(player_doc(items, depth + 1))}
+    if kind == "table":
+        table = [0] * (1 << m)
+        for mask in range(1, 1 << m):
+            below = max(table[mask & ~(1 << j)] for j in range(m) if mask >> j & 1)
+            table[mask] = min(9, below + draw(st.integers(0, 2)))
+        return {"type": kind, "values": {
+            ",".join(x for j, x in enumerate(items) if mask >> j & 1): value
+            for mask, value in enumerate(table)}}
+    return {"type": kind,
+            "values": {x: draw(st.integers(0, 9)) for x in items}}
+
+
+def containers(doc):
+    """Every (container, key) slot of a JSON document."""
+    slots = []
+    if isinstance(doc, (dict, list)):
+        for key in (doc if isinstance(doc, dict) else range(len(doc))):
+            slots.append((doc, key))
+            slots.extend(containers(doc[key]))
+    return slots
+
+
+def swap_one_value(draw, doc):
+    """doc with at most one value replaced by arbitrary JSON."""
+    if draw(st.booleans()):
+        container, key = draw(st.sampled_from(containers(doc)))
+        container[key] = draw(json_junk)
+    return doc
+
+
+@st.composite
+def fuzz_input(draw):
+    """An instance file's bytes and a --price text."""
+    items = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3,
+                          unique=True))
+    doc = swap_one_value(draw, {
+        "items": list(items),
+        "players": draw(st.lists(player_doc(items), min_size=1, max_size=3))})
+    content = json.dumps(doc).encode()
+    if draw(st.integers(0, 3)) == 0:
+        content = draw(raw_junk | json_junk.map(lambda x: json.dumps(x).encode()))
+    prices = swap_one_value(draw, {
+        x: draw(st.integers(0, 9) | st.integers(-2, 2 ** 70)) for x in items})
+    price = json.dumps(prices)
+    if draw(st.integers(0, 3)) == 0:
+        price = draw(st.sampled_from(["[" * 5000, "[" * 5000 + "]" * 5000, "-1"])
+                     | st.text(max_size=6))
+    return content, price
+
+
+commands = st.sampled_from(
+    [["run", f"--algorithm={a}"] for a in cli.ALGORITHMS + ("policy:x", "bogus")]
+    + [["check", what] for what in cli.CHECKS]
+    + [["oracle", what] for what in cli.ORACLE_KINDS]
+    + [["inspect"]])
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "instance.json"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=commands, given_input=fuzz_input())
+def test_malformed_input_never_raises(fuzz_path, command, given_input):
+    content, price = given_input
+    fuzz_path.write_bytes(content)
+    argv = command + ["--instance", str(fuzz_path)]
+    if command[0] in ("oracle", "inspect"):
+        argv.append(f"--price={price}")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 1, 2)

@@ -4,7 +4,10 @@ Every vectorized quantity is cross-checked against a from-the-definition
 computation on small random instances.
 """
 
+import dataclasses
 import random
+import sys
+import threading
 
 from hypothesis import given, settings, strategies as st
 
@@ -182,3 +185,104 @@ def test_lyapunov_descent_reports_none_at_optimum():
     step = demand.lyapunov_descent(inst, (0,))
     assert step is not None
     assert step.lyapunov_after < demand.lyapunov(inst, (0,))
+
+
+def rebuilt(inst):
+    """An instance equal to inst that shares no object with it."""
+    return make_instance(list(inst.items),
+                         [model.make_table(v.m, list(v.table)) for v in inst.players])
+
+
+def answers(inst, p):
+    return (demand.demand_reports(inst, p), demand.over_demanded_set(inst, p),
+            demand.lyapunov(inst, p), demand.minimal_minimizer_report(inst, p),
+            [demand.excess_demand(inst, p, s) for s in range(1 << inst.m)])
+
+
+def test_memo_keeps_markets_apart():
+    a = make_instance(["x", "y"], [make_unit_demand((4, 1)),
+                                   make_unit_demand((1, 4))])
+    b = make_instance(["x", "y"], [model.make_additive((3, 3)),
+                                   make_unit_demand((2, 5))])
+    v = a.players[1]
+    alone = make_instance(["x", "y"], [model.make_table(v.m, list(v.table))])
+    grid = [(x, y) for x in range(5) for y in range(5)]
+    assert any(answers(rebuilt(a), p) != answers(rebuilt(b), p) for p in grid)
+    for p in grid:
+        # the same prices on two markets and on a valuation of the first,
+        # interleaved so each query follows one on another owner
+        for _ in range(2):
+            assert answers(a, p) == answers(rebuilt(a), p)
+            assert answers(b, p) == answers(rebuilt(b), p)
+            own = demand.demand_reports(alone, p)[0]
+            assert demand.demand_sets(v, p) == own
+            for s in range(4):
+                assert demand.min_demand_overlap(v, p, s) == \
+                    demand.excess_demand(alone, p, s) + popcount(s)
+
+
+def test_memo_holds_at_most_its_bound():
+    inst = make_instance(["x", "y"], [make_unit_demand((20, 30)),
+                                      model.make_additive((15, 25))])
+    grid = [(x, y) for x in range(34) for y in range(34)]
+    assert len(grid) > demand.MEMO_VIEWS
+    first = []
+    for p in grid:
+        first.append(answers(inst, p))
+        assert demand._memo[0] is inst
+        assert len(demand._memo[1]) <= demand.MEMO_VIEWS
+    assert [answers(inst, p) for p in grid] == first
+    assert all(answers(rebuilt(inst), p) == got
+               for p, got in zip(grid[::97], first[::97]))
+
+
+def test_memo_is_safe_across_threads():
+    # three threads per market, so a thread can find its own market's
+    # owner in the memo while another thread swaps the views
+    rng = random.Random(5)
+    markets = [make_instance(["x", "y", "z"],
+                             [conftest.random_gs_valuation(rng, 3) for _ in range(3)])
+               for _ in range(2)]
+    grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
+    expected = [[answers(rebuilt(inst), p) for p in grid] for inst in markets]
+    assert expected[0] != expected[1]
+    wrong = []
+
+    def work(i):
+        try:
+            for _ in range(20):
+                for p, want in zip(grid, expected[i]):
+                    if answers(markets[i], p) != want:
+                        wrong.append((i, p))
+        except Exception as exc:     # a foreign view can fail to index
+            wrong.append((i, repr(exc)))
+
+    threads = [threading.Thread(target=work, args=(i % 2,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_single_valuation_matches_one_player_instance(seed):
+    rng = random.Random(seed)
+    inst = conftest.random_monotone_instance(rng, max_m=4)
+    p = conftest.random_prices(rng, inst)
+    reports = demand.demand_reports(inst, p)
+    for i, v in enumerate(inst.players):
+        one = make_instance(list(inst.items), [v])
+        own = demand.demand_reports(one, p)[0]
+        assert own == dataclasses.replace(reports[i], player=0)
+        assert demand.demand_sets(v, p, player=i) == reports[i]
+        for s in range(1 << inst.m):
+            assert demand.min_demand_overlap(v, p, s) == \
+                demand.excess_demand(one, p, s) + popcount(s)

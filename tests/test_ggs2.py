@@ -16,8 +16,7 @@ def pair_cap(singles, cap):
 
 
 def claim_instance():
-    from walras.cli import demo_claim_instance
-    return demo_claim_instance()
+    return ggs2.demo_claim_instance()
 
 
 def test_common_cap():
