@@ -19,20 +19,23 @@ minimal_minimizer returns the smallest bundle whose unit raise minimizes the
 Lyapunov function. On gross-substitutes input the two coincide step for step,
 which the auction engines exploit and the tests verify.
 
-All searches enumerate all 2**m bundles exhaustively; numpy keeps that cheap
-at desk scale. The per-price views behind these reports are memoized for
-one market at a time: the instance (or, for demand_sets and
-min_demand_overlap, the valuation) queried last, compared by identity, so
-the engines run on one market share its views without hashing its tables.
-A query on another market, or a miss once MEMO_VIEWS views are held, starts
-the memo afresh.
+Demand, D*(p) and the overlaps enumerate all 2**m bundles per player, and
+the obstacle all 2**m excess values. The Lyapunov values after every unit
+raise p + 1_S and after every move p + 1_S - 1_T are sweeps instead: one
+(max,+) pass per item over the subset lattice, n * m * 2**m and about
+3 * n * 3**m steps, the latter within the op budget. The per-price views
+behind these reports are memoized for one market at a time: the instance
+(or, for demand_sets and min_demand_overlap, the valuation) queried last,
+compared by identity, so the engines run on one market share its views
+without hashing its tables. A query on another market, or a miss once
+MEMO_VIEWS views are held, starts the memo afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,15 +70,26 @@ def _price_grid(radix, start: int, stop: int) -> np.ndarray:
     return grid
 
 
-@lru_cache(maxsize=8)
-def _intersection_popcount(m: int):
-    """Matrix |S & T| for all bundle pairs: 4**m entries, so the default
-    op budget stops _lyapunov_after_raise past 12 items."""
-    masks = np.arange(1 << m, dtype=np.int64)
-    _, pc = _static(m)
-    inter = pc[masks[:, None] & masks[None, :]]
-    inter.setflags(write=False)
-    return inter
+def _raise_sweep(util: np.ndarray, deltas) -> np.ndarray:
+    """max over U of util[U] + sum of deltas[x_j] over j in U, for every move X.
+
+    util is players x 2**m; a move X = sum of x_j * len(deltas)**j gives
+    item j the option x_j, so the result is players x len(deltas)**m. One
+    (max,+) pass per item over the subset lattice, all players at once,
+    replaces the scan of every (move, bundle) pair (the fast-zeta idea of
+    Bjorklund-Husfeldt-Kaski-Koivisto, "Fourier meets Mobius", STOC 2007).
+    """
+    n, size = util.shape
+    k = len(deltas)
+    acc = util
+    for j in range(size.bit_length() - 1):
+        # axes: players, items above j, item j in or out, moves of items below j
+        pair = acc.reshape(n, -1, 2, k ** j)
+        out = np.empty((n, pair.shape[1], k, k ** j), dtype=acc.dtype)
+        for x, d in enumerate(deltas):
+            np.maximum(pair[:, :, 0], pair[:, :, 1] + d, out=out[:, :, x])
+        acc = out.reshape(n, -1)
+    return acc
 
 
 def _minimal_members(demand: tuple[int, ...]) -> tuple[int, ...]:
@@ -228,23 +242,32 @@ def excess_demand(instance: Instance, prices: Prices, bundle: int) -> int:
     return int(view.excess[bundle])
 
 
-def over_demanded_set(instance: Instance, prices: Prices) -> ObstacleReport:
+def over_demanded_set(instance: Instance, prices: Prices,
+                      players: Optional[Sequence[int]] = None) -> ObstacleReport:
     """Inclusion-minimal maximizer of excess demand, empty when none is positive.
 
     Among incomparable minimal maximizers the lexicographically smallest by
-    item order is returned and the unique flag is cleared.
+    item order is returned and the unique flag is cleared. When players is
+    given, excess demand counts only those players' overlaps, and per_player
+    lists them in that order.
     """
     view = _market(instance, prices)
-    top = int(view.excess.max())
+    if players is None:
+        chosen, excess = view.players, view.excess
+    else:
+        _, pc = _static(instance.m)
+        chosen = tuple(view.players[i] for i in players)
+        excess = sum((pl.overlap for pl in chosen), -pc)
+    top = int(excess.max())
     if top <= 0:
-        return ObstacleReport(0, 0, (0,) * instance.n, True)
-    cands = [int(s) for s in np.nonzero(view.excess == top)[0]]
+        return ObstacleReport(0, 0, (0,) * len(chosen), True)
+    cands = [int(s) for s in np.nonzero(excess == top)[0]]
     minimal = _minimal_members(tuple(cands))
     best = min(minimal, key=lex_key)
     return ObstacleReport(
         bundle=best,
         excess=top,
-        per_player=tuple(int(pl.overlap[best]) for pl in view.players),
+        per_player=tuple(int(pl.overlap[best]) for pl in chosen),
         unique=len(minimal) == 1,
     )
 
@@ -257,19 +280,9 @@ def lyapunov(instance: Instance, prices: Prices) -> int:
 
 def _lyapunov_after_raise(instance: Instance, prices: Prices) -> np.ndarray:
     """Vector of L(p + 1_S) over all bundles S."""
-    view = _market(instance, prices)
-    m = instance.m
-    budget = env_budget(DEFAULT_OP_BUDGET)
-    if 4 ** m > budget:
-        raise BudgetExceeded(
-            f"after-raise table needs {4 ** m} entries, budget {budget}")
-    _, pc = _static(m)
-    inter = _intersection_popcount(m)
-    total = pc + sum(prices)
-    for v, pl in zip(instance.players, view.players):
-        util = v.np_table - view.pcost
-        total = total + (util[None, :] - inter).max(axis=1)
-    return total
+    util = np.stack([v.np_table for v in instance.players]) - _market(instance, prices).pcost
+    _, pc = _static(instance.m)
+    return pc + sum(prices) + _raise_sweep(util, (0, -1)).sum(axis=0)
 
 
 def minimal_minimizer_report(instance: Instance, prices: Prices) -> MinimizerReport:
@@ -295,48 +308,37 @@ def minimal_minimizer(instance: Instance, prices: Prices) -> int:
 def lyapunov_descent(instance: Instance, prices: Prices) -> Optional[DescentStep]:
     """Detect a strict Lyapunov decrease among moves p + 1_S - 1_T.
 
-    Scans all disjoint bundle pairs with T supported on positive prices.
-    Returns the best strictly improving move, or None at a local (hence,
-    for substitutes valuations, global) minimum. This is the descending
-    counterpart of minimal_minimizer kept as a detector only.
+    Covers all disjoint bundle pairs with T supported on positive prices in
+    one three-option sweep of n * 3**m entries, checked against the op
+    budget. Returns the best strictly improving move, or None at a local
+    (hence, for substitutes valuations, global) minimum. This is the
+    descending counterpart of minimal_minimizer kept as a detector only.
     """
     prices = tuple(prices)
     m = instance.m
+    budget = env_budget(DEFAULT_OP_BUDGET)
+    if instance.n * 3 ** m > budget:
+        raise BudgetExceeded(
+            f"descent scan needs {instance.n * 3 ** m} entries, budget {budget}")
     base = lyapunov(instance, prices)
-    pos = sum(1 << j for j in range(m) if prices[j] > 0)
-    moves = []
-    vecs = []
-    for lower in range(1 << m):
-        if lower & ~pos:
-            continue
-        rest = ((1 << m) - 1) & ~lower
-        raise_part = rest
-        # enumerate subsets of the complement as raise candidates
-        s = raise_part
-        while True:
-            if s or lower:
-                moves.append((s, lower))
-                vec = list(prices)
-                for j in range(m):
-                    bit = 1 << j
-                    if s & bit:
-                        vec[j] += 1
-                    elif lower & bit:
-                        vec[j] -= 1
-                vecs.append(vec)
-            if s == 0:
-                break
-            s = (s - 1) & raise_part
-    if not moves:
+    util = np.stack([v.np_table for v in instance.players]) - _market(instance, prices).pcost
+    # option 0 keeps item j's price, 1 raises it, 2 lowers it
+    after = _raise_sweep(util, (0, -1, 1)).sum(axis=0)
+    shift = np.zeros(1, dtype=np.int64)
+    allowed = np.ones(1, dtype=bool)
+    for j in range(m):
+        shift = (np.array([0, 1, -1])[:, None] + shift).ravel()
+        allowed = (np.array([True, True, prices[j] > 0])[:, None] & allowed).ravel()
+    after += shift + sum(prices)
+    # a price of 0 is never lowered; like move 0, such a move cannot win
+    after[~allowed] = base
+    low = int(after.min())
+    if low >= base:
         return None
-    bits, _ = _static(m)
-    varr = np.asarray(vecs, dtype=np.int64)
-    pcost = varr @ bits.T                      # (K, 2**m)
-    total = varr.sum(axis=1)
-    for v in instance.players:
-        total = total + (v.np_table[None, :] - pcost).max(axis=1)
-    best = int(total.argmin())
-    if int(total[best]) >= base:
-        return None
-    s, lower = moves[best]
-    return DescentStep(raise_bundle=s, lower_bundle=lower, lyapunov_after=int(total[best]))
+    # first minimizer in the order smallest lowered set, then largest raised set
+    best = np.nonzero(after == low)[0]
+    digits = best[:, None] // 3 ** np.arange(m) % 3
+    raised, lowered = ((digits == x) @ (1 << np.arange(m)) for x in (1, 2))
+    first = np.lexsort((-raised, lowered))[0]
+    return DescentStep(raise_bundle=int(raised[first]), lower_bundle=int(lowered[first]),
+                       lyapunov_after=low)

@@ -246,14 +246,6 @@ def max_matching(g: DemandGraph, must_match: Sequence[int]) -> MatchingResult:
                           cover_players, cover_items)
 
 
-def _induced_instance(instance: Instance, small: Sequence[int]) -> Instance:
-    singles = [
-        tuple(instance.players[i].table[1 << j] for j in range(instance.m))
-        for i in small
-    ]
-    return make_instance(instance.items, [make_unit_demand(s) for s in singles])
-
-
 def _completion_pass(instance: Instance, prices: Prices,
                      alloc: list[int]) -> bool:
     """Hand uncovered positively priced items to indifferent players.
@@ -312,8 +304,10 @@ def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCert
         # the shape was checked once above, so classify without common_cap
         cls = _classify(demand.demand_reports(instance, p))
         if cls.small:
-            induced = _induced_instance(instance, cls.small)
-            ob = demand.over_demanded_set(induced, p)
+            # a small player's minimal demand is its best singletons, so
+            # its overlaps are those of the unit-demand player its
+            # singleton values define: the induced substitutes market
+            ob = demand.over_demanded_set(instance, p, players=cls.small)
             if ob.excess > 0:
                 p = _record_step(instance, steps, p, ob.bundle, ob.excess)
                 continue

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes and JSON payloads."""
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -179,16 +180,22 @@ def test_run_certificate_over_budget_is_an_error(capsys, tmp_path, monkeypatch):
     assert captured.err.startswith("error: welfare DP needs")
 
 
-def test_run_ausubel_beyond_after_raise_budget_is_an_error(capsys, tmp_path,
-                                                         monkeypatch):
+def test_ausubel_and_inspect_run_past_twelve_items(capsys, tmp_path,
+                                                  monkeypatch):
     monkeypatch.delenv("WALRAS_BUDGET", raising=False)
     inst = make_instance([f"i{j}" for j in range(13)],
                          [make_unit_demand(range(1, 14))] * 2)
     path = write_instance(tmp_path, inst, "thirteen.json")
-    assert cli.main(["run", "--instance", path, "--algorithm", "ausubel"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: after-raise table needs")
+    zero = json.dumps({label: 0 for label in inst.items})
+    code, payload = run_cli(capsys, "inspect", "--instance", path,
+                            "--price", zero)
+    assert code == 0
+    assert payload["minimal_minimizer"] == {
+        "bundle": ["i12"], "lyapunov_after": 25, "unique": True}
+    aus = auctions.ausubel_ascending(inst)
+    assert aus.terminated
+    assert dataclasses.replace(aus, algorithm="gs") == \
+        auctions.gul_stacchetti(inst)
 
 
 def test_inspect_price_bounded_inside_int64(capsys, two_path):

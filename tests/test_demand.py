@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from walras import demand, model, oracle
@@ -185,6 +186,71 @@ def test_lyapunov_descent_reports_none_at_optimum():
     step = demand.lyapunov_descent(inst, (0,))
     assert step is not None
     assert step.lyapunov_after < demand.lyapunov(inst, (0,))
+
+
+def table_minimizer(inst, p):
+    """minimal_minimizer_report from the 4**m table of |S & T|."""
+    masks = range(1 << inst.m)
+    pc = np.array([popcount(s) for s in masks])
+    inter = np.array([[popcount(s & t) for t in masks] for s in masks])
+    pcost = np.array([model.price_of(p, s) for s in masks])
+    after = pc + sum(p)
+    for v in inst.players:
+        after = after + (v.np_table - pcost - inter).max(axis=1)
+    low = int(after.min())
+    cands = [s for s in masks if after[s] == low]
+    size = min(popcount(s) for s in cands)
+    smallest = [s for s in cands if popcount(s) == size]
+    return demand.MinimizerReport(min(smallest, key=model.lex_key), low,
+                                  len(smallest) == 1)
+
+
+def move_list_descent(inst, p):
+    """lyapunov_descent by listing every move: lowered sets ascending, then
+    raised sets descending; the first move to reach the minimum wins."""
+    full = (1 << inst.m) - 1
+    pos = sum(1 << j for j in range(inst.m) if p[j] > 0)
+    best = None
+    for lower in range(1 << inst.m):
+        if lower & ~pos:
+            continue
+        for s in range(full & ~lower, -1, -1):
+            if s & lower or not (s or lower):
+                continue
+            moved = add_indicator(p, s)
+            moved = tuple(x - (lower >> j & 1) for j, x in enumerate(moved))
+            after = sum(max(v.table[t] - model.price_of(moved, t)
+                            for t in range(full + 1))
+                        for v in inst.players) + sum(moved)
+            if best is None or after < best.lyapunov_after:
+                best = demand.DescentStep(s, lower, after)
+    if best is None or best.lyapunov_after >= demand.lyapunov(inst, p):
+        return None
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_sweeps_match_brute_force_references(seed):
+    rng = random.Random(seed)
+    kind = rng.choice(("gs", "ggs2", "mono", "raw"))
+    if kind == "gs":
+        inst = conftest.random_gs_instance(rng, max_m=5)
+    elif kind == "ggs2":
+        inst = conftest.random_ggs2_instance(rng, max_m=5)
+    elif kind == "mono":
+        inst = conftest.random_monotone_instance(rng, max_m=5)
+    else:
+        # not monotone, so lowering a price of 0 could pay: the descent
+        # must still leave such prices alone
+        m = rng.randint(1, 4)
+        inst = make_instance(list("abcd"[:m]), [
+            model.make_table(m, [0] + [rng.randint(0, conftest.VMAX)
+                                       for _ in range(1, 1 << m)])
+            for _ in range(rng.randint(1, 3))])
+    p = conftest.random_prices(rng, inst, hi=rng.randint(1, inst.vmax + 1))
+    assert demand.minimal_minimizer_report(inst, p) == table_minimizer(inst, p)
+    assert demand.lyapunov_descent(inst, p) == move_list_descent(inst, p)
 
 
 def rebuilt(inst):

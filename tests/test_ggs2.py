@@ -164,3 +164,24 @@ def test_random_corpus_certified():
                                   cert.allocation) is None
         if rep.unique:
             assert trace.final_price == rep.price
+
+
+def test_small_players_see_the_induced_unit_demand_market():
+    # the obstacle ggs2 raises for its small players equals the one of
+    # the unit-demand market their singleton values define
+    rng = random.Random(91)
+    seen = 0
+    for _ in range(200):
+        inst = conftest.random_ggs2_instance(rng, max_m=5)
+        p = conftest.random_prices(rng, inst)
+        small = ggs2.classify_players(inst, p).small
+        if not small:
+            continue
+        seen += 1
+        induced = make_instance(inst.items, [
+            make_unit_demand([inst.players[i].table[1 << j]
+                              for j in range(inst.m)])
+            for i in small])
+        assert demand.over_demanded_set(inst, p, players=small) == \
+            demand.over_demanded_set(induced, p)
+    assert seen > 50

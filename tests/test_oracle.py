@@ -144,14 +144,14 @@ def test_budget_is_checked_before_the_caches(monkeypatch):
     inst = make_instance(["a", "b"], [make_unit_demand((3, 2)),
                                       make_unit_demand((2, 3))])
     assert oracle.max_welfare(inst).welfare == 6
-    demand.minimal_minimizer(inst, (0, 0))
+    assert demand.lyapunov_descent(inst, (2, 0)) is not None
     monkeypatch.setenv("WALRAS_BUDGET", "1")
     with pytest.raises(oracle.BudgetExceeded,
                        match="welfare DP needs 18 steps, budget 1"):
         oracle.max_welfare(inst)
     with pytest.raises(oracle.BudgetExceeded,
-                       match="after-raise table needs 16 entries, budget 1"):
-        demand.minimal_minimizer(inst, (1, 0))
+                       match="descent scan needs 18 entries, budget 1"):
+        demand.lyapunov_descent(inst, (2, 0))
 
 
 def test_invariant_violation_survives_python_O():
