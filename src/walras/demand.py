@@ -20,21 +20,26 @@ Lyapunov function. On gross-substitutes input the two coincide step for step,
 which the auction engines exploit and the tests verify.
 
 Demand, D*(p) and the overlaps enumerate all 2**m bundles per player, and
-the obstacle all 2**m excess values. The Lyapunov values after every unit
-raise p + 1_S and after every move p + 1_S - 1_T are sweeps instead: one
-(max,+) pass per item over the subset lattice, n * m * 2**m and about
-3 * n * 3**m steps, the latter within the op budget. The per-price views
-behind these reports are memoized for one market at a time: the instance
-(or, for demand_sets and min_demand_overlap, the valuation) queried last,
-compared by identity, so the engines run on one market share its views
-without hashing its tables. A query on another market, or a miss once
-MEMO_VIEWS views are held, starts the memo afresh.
+the obstacle all 2**m excess values. Three quantities are sweeps instead,
+all one (max,+) pass per item over the subset lattice (_raise_sweep): the
+Lyapunov values after every unit raise p + 1_S (n * m * 2**m steps), after
+every move p + 1_S - 1_T (about 3 * n * 3**m steps, within the op budget),
+and, for oracle.minimal_walrasian_price, at every point of a price grid
+(about twice the grid size per player). The per-price views behind these
+reports are memoized for one market at a time: the instance (or, for
+demand_sets and min_demand_overlap, the valuation) queried last, compared
+by identity, so the engines run on one market share its views without
+hashing its tables. A query on another market starts the memo afresh;
+once the views hold MEMO_ENTRIES int64 entries, each new view replaces
+the last one added.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,13 +61,13 @@ def _static(m: int):
     return bits, pc
 
 
-def _price_grid(radix, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the mixed-radix price grid, one price per row.
+def _price_grid(radix, rows) -> np.ndarray:
+    """The given rows of the mixed-radix price grid, one price per row.
 
     Coordinate j runs over range(radix[j]) and the last coordinate moves
     fastest, so row k is the base-radix expansion of k.
     """
-    rem = np.arange(start, stop, dtype=np.int64)
+    rem = np.asarray(rows, dtype=np.int64)
     grid = np.empty((len(rem), len(radix)), dtype=np.int64)
     for j in range(len(radix) - 1, -1, -1):
         grid[:, j] = rem % radix[j]
@@ -70,23 +75,28 @@ def _price_grid(radix, start: int, stop: int) -> np.ndarray:
     return grid
 
 
-def _raise_sweep(util: np.ndarray, deltas) -> np.ndarray:
-    """max over U of util[U] + sum of deltas[x_j] over j in U, for every move X.
+def _raise_sweep(util: np.ndarray, options) -> np.ndarray:
+    """max over U of util[U] + sum of options[j][x_j] over j in U, for every move X.
 
-    util is players x 2**m; a move X = sum of x_j * len(deltas)**j gives
-    item j the option x_j, so the result is players x len(deltas)**m. One
-    (max,+) pass per item over the subset lattice, all players at once,
+    util is players x 2**m and options holds one sequence of deltas per
+    item. A move X gives item j its option x_j, item 0's option moving
+    fastest, so the result is players x the product of the option counts.
+    One (max,+) pass per item over the subset lattice, all players at once,
     replaces the scan of every (move, bundle) pair (the fast-zeta idea of
     Bjorklund-Husfeldt-Kaski-Koivisto, "Fourier meets Mobius", STOC 2007).
+    Items with fewer options are swept first, so no intermediate array is
+    larger than the bigger of util and the result.
     """
-    n, size = util.shape
-    k = len(deltas)
+    n = util.shape[0]
+    # per item, the length of its axis: 2 while a bundle bit, then its options
+    dims = [2] * len(options)
     acc = util
-    for j in range(size.bit_length() - 1):
-        # axes: players, items above j, item j in or out, moves of items below j
-        pair = acc.reshape(n, -1, 2, k ** j)
-        out = np.empty((n, pair.shape[1], k, k ** j), dtype=acc.dtype)
-        for x, d in enumerate(deltas):
+    for j in sorted(range(len(options)), key=lambda j: len(options[j])):
+        # axes: players, items above j, item j in or out, items below j
+        pair = acc.reshape(n, prod(dims[j + 1:]), 2, prod(dims[:j]))
+        dims[j] = len(options[j])
+        out = np.empty((n, pair.shape[1], dims[j], pair.shape[3]), dtype=acc.dtype)
+        for x, d in enumerate(options[j]):
             np.maximum(pair[:, :, 0], pair[:, :, 1] + d, out=out[:, :, x])
         acc = out.reshape(n, -1)
     return acc
@@ -124,11 +134,14 @@ class _MarketView:
         self.pcost = pcost
 
 
-# The most views held for one market. The benchmark's ladder and corpus
-# markets stay under 500, so every engine run on one market shares its
-# views; deep's runs of up to 1,024 steps restart the memo instead of
-# pinning more.
-MEMO_VIEWS = 1024
+# The most int64 entries held in the views of one market (16 MB); a view
+# of n players holds (n + 2) * 2**m. An engine visits each price once, so
+# the views worth keeping are the first ones, which a later engine on the
+# same market walks again from the same start: once the memo is full, each
+# new view replaces the last one added instead. The benchmark's ladder
+# keeps all but a few dozen of the views it revisits, and deep's runs of
+# up to 6,000 steps hold no more memory than 1,024 views did.
+MEMO_ENTRIES = 1 << 21
 
 # (owner, views by price) for the market queried last. Swapped as one
 # tuple, so a reader never pairs one market's owner with another's views.
@@ -140,9 +153,11 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
     global _memo
     prices = tuple(prices)
     held, views = _memo
-    if held is owner and prices in views:
-        return views[prices]
-    if held is not owner or len(views) >= MEMO_VIEWS:
+    if held is owner:
+        view = views.get(prices)
+        if view is not None:
+            return view
+    else:
         views = {}
         _memo = (owner, views)
     if len(prices) != m:
@@ -160,7 +175,11 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
                      & np.arange(1 << m, dtype=np.int64)[None, :]].min(axis=0)
         reports.append(_PlayerView(top, demand, minimal, overlap))
         excess = excess + overlap
-    view = views[prices] = _MarketView(tuple(reports), excess, pcost)
+    view = _MarketView(tuple(reports), excess, pcost)
+    if (len(views) + 1) * ((len(players) + 2) << m) > MEMO_ENTRIES:
+        with suppress(KeyError):    # empty, or emptied by another thread
+            views.popitem()
+    views[prices] = view
     return view
 
 
@@ -282,7 +301,7 @@ def _lyapunov_after_raise(instance: Instance, prices: Prices) -> np.ndarray:
     """Vector of L(p + 1_S) over all bundles S."""
     util = np.stack([v.np_table for v in instance.players]) - _market(instance, prices).pcost
     _, pc = _static(instance.m)
-    return pc + sum(prices) + _raise_sweep(util, (0, -1)).sum(axis=0)
+    return pc + sum(prices) + _raise_sweep(util, [(0, -1)] * instance.m).sum(axis=0)
 
 
 def minimal_minimizer_report(instance: Instance, prices: Prices) -> MinimizerReport:
@@ -323,7 +342,7 @@ def lyapunov_descent(instance: Instance, prices: Prices) -> Optional[DescentStep
     base = lyapunov(instance, prices)
     util = np.stack([v.np_table for v in instance.players]) - _market(instance, prices).pcost
     # option 0 keeps item j's price, 1 raises it, 2 lowers it
-    after = _raise_sweep(util, (0, -1, 1)).sum(axis=0)
+    after = _raise_sweep(util, [(0, -1, 1)] * m).sum(axis=0)
     shift = np.zeros(1, dtype=np.int64)
     allowed = np.ones(1, dtype=bool)
     for j in range(m):

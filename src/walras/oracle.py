@@ -262,12 +262,16 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
                             ) -> Optional[MinimalPriceReport]:
     """Coordinatewise-minimal Walrasian price within [0, bound]^m, or None.
 
-    Scans the whole grid for Lyapunov minimizers; those are exactly the
-    Walrasian prices whenever the minimum equals the maximum welfare. The
-    coordinatewise meet of the minimizers is tried first: when it is itself
-    a minimizer the minimum is unique (the lattice case, guaranteed for
-    gross substitutes). Otherwise all incomparable minimal prices are
-    reported and the lexicographically smallest is returned.
+    Computes the Lyapunov value at every point of the price grid, one player
+    at a time: one (max,+) sweep per item turns the player's value table into
+    its best utility at every grid point, in about twice the grid size of
+    steps. Memory is a few grid-sized int64 arrays, never grid x 2**m. The
+    Lyapunov minimizers are exactly the Walrasian prices whenever the
+    minimum equals the maximum welfare. The coordinatewise meet of the
+    minimizers is tried first: when it is itself a minimizer the minimum is
+    unique (the lattice case, guaranteed for gross substitutes). Otherwise
+    all incomparable minimal prices are reported and the lexicographically
+    smallest is returned.
     """
     if bound is None:
         bound = instance.vmax
@@ -281,36 +285,32 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
     if total > budget:
         raise BudgetExceeded(f"price grid has {total} points, budget {budget}")
 
-    bits, _ = demand._static(instance.m)
     welfare = max_welfare(instance, budget=budget).welfare
-    best = None
-    minimizers: list[Prices] = []
-    meet = None
-    cap_store = 1 << 17
-    overflow = False
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        grid = demand._price_grid(radix, start, min(start + chunk, total))
-        pcost = grid @ bits.T
-        lvals = grid.sum(axis=1)
-        for v in instance.players:
-            lvals = lvals + (v.np_table[None, :] - pcost).max(axis=1)
-        lo = int(lvals.min())
-        if best is None or lo < best:
-            best = lo
-            minimizers = []
-            meet = None
-            overflow = False
-        if lo == best:
-            rows = grid[lvals == best]
-            low = rows.min(axis=0)
-            meet = low if meet is None else np.minimum(meet, low)
-            if len(minimizers) + len(rows) <= cap_store:
-                minimizers.extend(tuple(int(x) for x in r) for r in rows)
-            else:
-                overflow = True
+    # grid points are indexed with item 0 moving fastest, as the sweep
+    # leaves them; start from the total price at each point
+    lvals = np.zeros(1, dtype=np.int64)
+    for r in radix:
+        lvals = (np.arange(r, dtype=np.int64)[:, None] + lvals).ravel()
+    options = [-np.arange(r, dtype=np.int64) for r in radix]
+    for v in instance.players:
+        lvals += demand._raise_sweep(v.np_table[None, :], options)[0]
+    best = int(lvals.min())
     if best != welfare:
         return None
+
+    found = np.flatnonzero(lvals == best)
+    cap_store = 1 << 17
+    overflow = len(found) > cap_store
+    meet = None
+    minimizers: list[Prices] = []
+    chunk = 1 << 14
+    for start in range(0, len(found), chunk):
+        # the decoder moves the last coordinate fastest: decode reversed
+        rows = demand._price_grid(radix[::-1], found[start:start + chunk])[:, ::-1]
+        low = rows.min(axis=0)
+        meet = low if meet is None else np.minimum(meet, low)
+        if not overflow:
+            minimizers.extend(tuple(int(x) for x in r) for r in rows)
 
     meet_price = tuple(int(x) for x in meet)
     if demand.lyapunov(instance, meet_price) == welfare:

@@ -103,7 +103,7 @@ def check_gs_on_grid(v: Valuation, bound: Optional[int] = None,
         raise BudgetExceeded(f"grid scan needs {points * m} visits, budget {budget}")
 
     bits, _ = demand._static(m)
-    grid = demand._price_grid([radix] * m, 0, points)
+    grid = demand._price_grid([radix] * m, np.arange(points))
     pcost = grid @ bits.T
     util = doubled[None, :] - pcost
     top = util.max(axis=1)

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine reproduction and property criteria.
+"""Acceptance gate: ten reproduction and property criteria.
 
 Each test prints exactly one pass/fail line (visible under pytest -s) and
 then asserts, so the suite both reports and enforces. Corpora are seeded
@@ -217,4 +217,18 @@ def test_criterion_9_policy_invariance(corpus, gul_traces):
     ok = mismatches == 0
     report(9, "policy invariance", ok,
            f"10 policies x {len(corpus)} instances, {mismatches} mismatches")
+    assert ok
+
+
+def test_criterion_10_exact_step_count(corpus, gul_traces, star_prices):
+    # Murota, Shioura & Yang (2016): from p = 0 the unit-step ascending
+    # auction on gross substitutes takes exactly max(p*) steps, where p* is
+    # the minimal Walrasian price
+    mismatches = 0
+    for inst, gul, star in zip(corpus, gul_traces, star_prices):
+        for trace in (gul, auctions.ausubel_ascending(inst)):
+            mismatches += len(trace.steps) != max(star)
+    ok = mismatches == 0
+    report(10, "exact step count", ok,
+           f"{2 * len(corpus)} traces, {mismatches} mismatches")
     assert ok

@@ -8,6 +8,7 @@ import dataclasses
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -253,6 +254,21 @@ def test_sweeps_match_brute_force_references(seed):
     assert demand.lyapunov_descent(inst, p) == move_list_descent(inst, p)
 
 
+def test_sweep_holds_no_array_larger_than_its_input_or_output():
+    # one item with 61 options and eleven with one: swept in item order,
+    # the first pass alone would hold 2**11 x 61 entries
+    util = np.zeros((1, 1 << 12), dtype=np.int64)
+    options = [range(0, -61, -1)] + [(0,)] * 11
+    tracemalloc.start()
+    try:
+        out = demand._raise_sweep(util, options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tolist() == [[0] * 61]
+    assert peak < 3 * util.nbytes
+
+
 def rebuilt(inst):
     """An instance equal to inst that shares no object with it."""
     return make_instance(list(inst.items),
@@ -287,19 +303,27 @@ def test_memo_keeps_markets_apart():
                     demand.excess_demand(alone, p, s) + popcount(s)
 
 
-def test_memo_holds_at_most_its_bound():
+def test_memo_holds_at_most_its_bound(monkeypatch):
     inst = make_instance(["x", "y"], [make_unit_demand((20, 30)),
                                       model.make_additive((15, 25))])
+    size = (inst.n + 2) << inst.m       # int64 entries in one view
+    monkeypatch.setattr(demand, "MEMO_ENTRIES", 100 * size)
     grid = [(x, y) for x in range(34) for y in range(34)]
-    assert len(grid) > demand.MEMO_VIEWS
     first = []
     for p in grid:
         first.append(answers(inst, p))
         assert demand._memo[0] is inst
-        assert len(demand._memo[1]) <= demand.MEMO_VIEWS
+        assert len(demand._memo[1]) * size <= demand.MEMO_ENTRIES
+    # once full, the memo keeps its first views and the one added last
+    assert list(demand._memo[1]) == grid[:99] + grid[-1:]
     assert [answers(inst, p) for p in grid] == first
     assert all(answers(rebuilt(inst), p) == got
                for p, got in zip(grid[::97], first[::97]))
+    # a view larger than the cap is still held until the next one
+    monkeypatch.setattr(demand, "MEMO_ENTRIES", 1)
+    for p in grid[:3]:
+        assert answers(inst, p) == first[grid.index(p)]
+        assert list(demand._memo[1]) == [p]
 
 
 def test_memo_is_safe_across_threads():

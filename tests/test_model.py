@@ -64,6 +64,41 @@ def test_is_submodular():
     assert not model.is_submodular((0, 0, 0, 2), 2)
 
 
+def loop_submodular(table, m):
+    """is_submodular as one Python test per (bundle, item pair)."""
+    for mask in range(1 << m):
+        free = [j for j in range(m) if not mask & (1 << j)]
+        for a in range(len(free)):
+            x = 1 << free[a]
+            for b in range(a + 1, len(free)):
+                y = 1 << free[b]
+                if table[mask | x] + table[mask | y] < table[mask | x | y] + table[mask]:
+                    return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_is_submodular_matches_the_pairwise_loop(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 5)
+    kind = rng.choice(("gs", "ggs2", "mono", "raw"))
+    if kind == "gs":
+        table = list(conftest.random_gs_valuation(rng, m).table)
+    elif kind == "ggs2":
+        table = list(conftest.random_ggs2_valuation(rng, m, rng.randint(1, 8)).table)
+    elif kind == "mono":
+        table = list(conftest.random_monotone_valuation(rng, m).table)
+    else:
+        table = [rng.randint(-8, 8) for _ in range(1 << m)]
+    # a one-entry nudge lands next to the boundary of submodularity
+    table[rng.randrange(1 << m)] += rng.choice((-1, 0, 1))
+    want = loop_submodular(table, m)
+    assert model.is_submodular(table, m) == want
+    # past int64 the same test runs on Python integers
+    assert model.is_submodular([x << 70 for x in table], m) == want
+
+
 def test_truncation_basics():
     v = make_truncation(make_unit_demand((2, 2, 4)), 2, 4)
     assert v.table[0b001] == 2

@@ -8,13 +8,17 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import walras
 from walras import demand, model, oracle
 from walras.model import make_instance, make_unit_demand, make_additive
 
 import conftest
+
+seeds = st.integers(0, 2 ** 31 - 1)
 
 
 def two_buyers_one_item():
@@ -116,6 +120,76 @@ def test_minimal_walrasian_is_minimal_and_valid():
                 assert not oracle.is_walrasian(inst, q).valid
                 checked += 1
     assert checked > 0
+
+
+def grid_scan(inst, bound=None):
+    """minimal_walrasian_price by the retired scan: the Lyapunov value at
+    every grid point from a grid x 2**m utility matrix per player."""
+    if bound is None:
+        bound = inst.vmax
+    caps = oracle._coordinate_bounds(inst, bound)
+    welfare = oracle.max_welfare(inst).welfare
+    grid = np.array(list(itertools.product(*(range(c + 1) for c in caps))),
+                    dtype=np.int64).reshape(-1, inst.m)
+    bits, _ = demand._static(inst.m)
+    pcost = grid @ bits.T
+    lvals = grid.sum(axis=1)
+    for v in inst.players:
+        lvals = lvals + (v.np_table[None, :] - pcost).max(axis=1)
+    if lvals.min() != welfare:
+        return None
+    minimizers = [tuple(int(x) for x in r) for r in grid[lvals == welfare]]
+    meet = tuple(min(col) for col in zip(*minimizers))
+    if demand.lyapunov(inst, meet) == welfare:
+        assert oracle.is_walrasian(inst, meet).valid
+        return oracle.MinimalPriceReport(meet, True, (meet,))
+    minimal = sorted(p for p in minimizers if not any(
+        q != p and all(a <= b for a, b in zip(q, p)) for q in minimizers))
+    return oracle.MinimalPriceReport(minimal[0], len(minimal) == 1, tuple(minimal))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_grid_sweep_matches_the_grid_scan(seed):
+    rng = random.Random(seed)
+    kind = rng.choice(("gs", "ggs2", "mono", "raw"))
+    if kind == "gs":
+        inst = conftest.random_gs_instance(rng, max_m=4)
+    elif kind == "ggs2":
+        inst = conftest.random_ggs2_instance(rng, max_m=4)
+    elif kind == "mono":
+        inst = conftest.random_monotone_instance(rng, max_m=4)
+    else:
+        # not monotone and rarely submodular, so every coordinate runs to
+        # the bound
+        m = rng.randint(1, 3)
+        inst = make_instance(list("abc"[:m]), [
+            model.make_table(m, [0] + [rng.randint(0, conftest.VMAX)
+                                       for _ in range(1, 1 << m)])
+            for _ in range(rng.randint(1, 3))])
+    # a bound below the values can cut every Walrasian price off the grid
+    bound = rng.choice((None, rng.randint(0, inst.vmax)))
+    assert oracle.minimal_walrasian_price(inst, bound) == grid_scan(inst, bound)
+
+
+def test_minimal_prices_without_a_lattice_minimum():
+    # two players who want only the pair: any prices summing to 1 clear it
+    pair = model.make_table(2, (0, 0, 0, 1))
+    inst = make_instance(["x", "y"], [pair, pair])
+    rep = oracle.minimal_walrasian_price(inst)
+    assert rep == oracle.MinimalPriceReport((0, 1), False, ((0, 1), (1, 0)))
+    assert rep == grid_scan(inst)
+
+
+def test_grid_budget_is_checked_before_the_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("swept past the budget")
+
+    monkeypatch.setattr(demand, "_raise_sweep", no_sweep)
+    monkeypatch.setenv("WALRAS_BUDGET", "1")
+    with pytest.raises(oracle.BudgetExceeded,
+                       match="price grid has 6 points, budget 1"):
+        oracle.minimal_walrasian_price(two_buyers_one_item())
 
 
 def test_budget_exceeded():
