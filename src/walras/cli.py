@@ -308,7 +308,7 @@ def cmd_oracle(args) -> int:
             if not args.price:
                 return _fail("envy-free needs --price")
             prices = prices_from_json(args.price, instance)
-            alloc = oracle.envy_free_exists(instance, prices)
+            alloc = oracle.envy_free_exists(instance, prices, budget=budget)
             _emit({"envy_free_allocation": (
                 None if alloc is None
                 else [instance.label_bundle(b) for b in alloc])}, args.out)

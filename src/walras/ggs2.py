@@ -9,10 +9,9 @@ saturating matching exists it counts unmatched players n' against
 unmatched minimum-price items m' and either stops (2n' <= m') or
 raises every minimum-price item by one and rebuilds.
 
-At the stop state matched players take their singleton, unmatched
-players take disjoint minimum-price pairs, and a completion pass hands
-leftover positively priced items to indifferent players. The result is
-certified against the independent oracle rather than trusted.
+At the stop price the allocation is not rebuilt from the matching: the
+oracle certifies the price by strong duality, and its certificate carries
+the welfare DP's allocation, which is Walrasian whenever the price is.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from . import demand, oracle
 from .auctions import AuctionStep, AuctionTrace, iteration_cap
 from .model import (
     Allocation, Instance, InvariantViolation, Prices, add_indicator, dominated,
-    iter_items, make_instance, make_truncation, make_unit_demand, popcount,
+    make_instance, make_truncation, make_unit_demand, popcount,
     prices_to_json,
 )
 
@@ -45,13 +44,7 @@ class HallViolation(RuntimeError):
 class PlayerClass:
     small: tuple[int, ...]          # positive utility, singleton demands only
     pair_players: tuple[int, ...]   # positive utility, some demanded pair
-    empty_demand: tuple[int, ...]   # zero utility; set aside until the end
-
-
-@dataclass(frozen=True)
-class MinReport:
-    min_bundle: int
-    min2_bundle: int                # second price level, only when |MIN| = 1
+    empty_demand: tuple[int, ...]   # zero utility; set aside
 
 
 @dataclass(frozen=True)
@@ -117,22 +110,10 @@ def _classify(reports: Sequence[demand.DemandReport]) -> PlayerClass:
     return PlayerClass(tuple(small), tuple(pairs), tuple(empty))
 
 
-def min_items(prices: Prices) -> MinReport:
-    """Minimum-price items, plus the second level when the minimum is unique."""
-    prices = tuple(prices)
-    if not prices:
-        return MinReport(0, 0)
+def min_items(prices: Prices) -> int:
+    """The mask of the minimum-price items."""
     low = min(prices)
-    min_bundle = sum(1 << j for j, x in enumerate(prices) if x == low)
-    min2 = 0
-    if popcount(min_bundle) == 1 and len(prices) >= 2:
-        rest = [x for j, x in enumerate(prices) if not min_bundle >> j & 1]
-        low2 = min(rest)
-        min2 = sum(
-            1 << j for j, x in enumerate(prices)
-            if x == low2 and not min_bundle >> j & 1
-        )
-    return MinReport(min_bundle, min2)
+    return sum(1 << j for j, x in enumerate(prices) if x == low)
 
 
 def build_demand_graph(instance: Instance, prices: Prices,
@@ -149,7 +130,7 @@ def build_demand_graph(instance: Instance, prices: Prices,
         left=tuple(sorted(players)),
         right=tuple(range(instance.m)),
         edges=tuple(edges),
-        min_bundle=min_items(prices).min_bundle,
+        min_bundle=min_items(prices),
     )
 
 
@@ -246,47 +227,12 @@ def max_matching(g: DemandGraph, must_match: Sequence[int]) -> MatchingResult:
                           cover_players, cover_items)
 
 
-def _completion_pass(instance: Instance, prices: Prices,
-                     alloc: list[int]) -> bool:
-    """Hand uncovered positively priced items to indifferent players.
-
-    Extends bundles only along demand (the grown bundle must stay demanded),
-    searching player choices with backtracking. Returns True when every
-    positively priced item ends up allocated.
-    """
-    taken = 0
-    for b in alloc:
-        taken |= b
-    uncovered = [j for j in range(instance.m)
-                 if prices[j] > 0 and not taken >> j & 1]
-    if not uncovered:
-        return True
-    tops = demand.demand_reports(instance, prices)
-
-    def place(idx: int) -> bool:
-        if idx == len(uncovered):
-            return True
-        x = uncovered[idx]
-        for i in range(instance.n):
-            grown = alloc[i] | 1 << x
-            if grown == alloc[i]:
-                continue
-            if grown in tops[i].demand:
-                alloc[i] = grown
-                if place(idx + 1):
-                    return True
-                alloc[i] = grown ^ 1 << x
-        return False
-
-    return place(0)
-
-
 def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCertificate]:
     """Run the pair-capped auction from zero prices to a certified stop.
 
     The trace records induced-substitutes raises and minimum-price raises
-    alike; the terminal allocation is rebuilt from the final matching and
-    always cross-checked by the oracle certificate.
+    alike; the stop price is certified by the oracle, whose certificate
+    carries the allocation.
     """
     common_cap(instance)
     cap = iteration_cap(instance)
@@ -329,23 +275,14 @@ def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCert
         m_prime = popcount(mr.unmatched_min_items)
 
         if 2 * n_prime <= m_prime:
-            alloc = [0] * instance.n
-            for i, x in mr.matching:
-                alloc[i] = 1 << x
-            pool = list(iter_items(mr.unmatched_min_items))
-            for i in mr.unmatched_players:
-                pair = 1 << pool.pop(0) | 1 << pool.pop(0)
-                alloc[i] = pair
-            if not _completion_pass(instance, p, alloc):
-                anomalies.append("completion pass failed to cover items")
-            cert = oracle.check_allocation(instance, p, tuple(alloc))
+            cert = oracle.is_walrasian(instance, p)
             if not cert.valid:
                 anomalies.append("terminal certificate invalid")
             trace = AuctionTrace("ggs2", tuple(steps), p, True, False,
                                  tuple(anomalies))
             return trace, cert
 
-        p = _record_step(instance, steps, p, min_items(p).min_bundle)
+        p = _record_step(instance, steps, p, min_items(p))
 
 
 def _record_step(instance: Instance, steps: list[AuctionStep], p: Prices,

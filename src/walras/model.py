@@ -112,9 +112,6 @@ class Valuation:
     singletons: Optional[tuple[int, ...]] = None
     trunc: Optional[TruncationSpec] = None
 
-    def value(self, bundle: int) -> int:
-        return self.table[bundle]
-
     @property
     def vmax(self) -> int:
         return max(self.table)

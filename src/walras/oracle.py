@@ -7,11 +7,14 @@ minimizers. The auction engines are never consulted; these functions exist
 to check them.
 
 A price vector is Walrasian when some allocation gives every player a bundle
-from its demand family and leaves no positively priced item unallocated. By
-strong duality such an allocation is welfare-maximal and the Lyapunov value
-at the price equals the maximum welfare, so every certificate carries that
-equality as a third, redundant check: its failure would be a bug, not a
-property of the input.
+from its demand family and leaves no positively priced item unallocated. At
+nonnegative prices the welfare of any allocation is at most the Lyapunov
+value, with equality exactly for such allocations (strong duality:
+Bikhchandani & Mamer, JET 1997; Gul & Stacchetti, JET 1999). So a price is
+Walrasian exactly when its Lyapunov value equals the maximum welfare, and
+then the welfare DP's own allocation is the certificate. Checking that
+allocation is a redundant test: its failure would be a bug, not a property
+of the input.
 """
 
 from __future__ import annotations
@@ -131,32 +134,32 @@ def _submasks_ascending(mask: int) -> list[int]:
     return subs
 
 
-def _allocation_search(instance: Instance, prices: Prices,
-                       require_coverage: bool) -> Optional[Allocation]:
-    """First allocation (players in order, bundles by size then mask) that
-    hands every player a demanded bundle, optionally covering every
-    positively priced item."""
-    reports = demand.demand_reports(instance, prices)
+def envy_free_exists(instance: Instance, prices: Prices,
+                     budget: Optional[int] = None) -> Optional[Allocation]:
+    """A disjoint allocation of demanded bundles, or None when impossible.
+
+    Deterministic: the first solution in player order with bundles tried
+    smallest first. The backtracking counts its nodes against the budget.
+    """
+    if budget is None:
+        budget = env_budget(DEFAULT_OP_BUDGET)
+    reports = demand.demand_reports(instance, tuple(prices))
     choices = [sorted(r.demand, key=lambda s: (popcount(s), s)) for r in reports]
-    min_size = [popcount(c[0]) for c in choices]
-    n, m = instance.n, instance.m
+    n = instance.n
     suffix_need = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_need[i] = suffix_need[i + 1] + min_size[i]
-    suffix_union = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        u = 0
-        for s in choices[i]:
-            u |= s
-        suffix_union[i] = suffix_union[i + 1] | u
-    positive = sum(1 << j for j in range(m) if prices[j] > 0)
+        suffix_need[i] = suffix_need[i + 1] + popcount(choices[i][0])
     picked: list[int] = []
+    nodes = 0
 
     def rec(i: int, used: int) -> bool:
-        if require_coverage and positive & ~used & ~suffix_union[i]:
-            return False
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(
+                f"envy-free search passed {nodes} nodes, budget {budget}")
         if i == n:
-            return not (require_coverage and positive & ~used)
+            return True
         free = instance.m - popcount(used)
         if suffix_need[i] > free:
             return False
@@ -176,49 +179,10 @@ def _allocation_search(instance: Instance, prices: Prices,
     return None
 
 
-def envy_free_exists(instance: Instance, prices: Prices) -> Optional[Allocation]:
-    """A disjoint allocation of demanded bundles, or None when impossible.
-
-    Deterministic: the first solution in player order with bundles tried
-    smallest first.
-    """
-    return _allocation_search(instance, tuple(prices), require_coverage=False)
-
-
-def is_walrasian(instance: Instance, prices: Prices,
-                 budget: Optional[int] = None) -> WalrasianCertificate:
-    """Certify a price vector by exhaustive allocation search.
-
-    The returned certificate is valid exactly when the price is Walrasian.
-    When an envy-free covering allocation exists the Lyapunov value must
-    equal the maximum welfare; that equality failing raises
-    InvariantViolation.
-    """
-    prices = tuple(prices)
-    lyap = demand.lyapunov(instance, prices)
-    welfare = max_welfare(instance, budget=budget).welfare
-    covered = _allocation_search(instance, prices, require_coverage=True)
-    if covered is not None:
-        if lyap != welfare:
-            raise InvariantViolation(
-                "envy-free covering allocation found but Lyapunov != max welfare"
-            )
-        return WalrasianCertificate(
-            price=prices, allocation=covered, envy_free=True, coverage=True,
-            bm_equality=True, lyapunov=lyap, max_welfare=welfare,
-        )
-    plain = _allocation_search(instance, prices, require_coverage=False)
-    return WalrasianCertificate(
-        price=prices, allocation=plain,
-        envy_free=plain is not None, coverage=False,
-        bm_equality=lyap == welfare, lyapunov=lyap, max_welfare=welfare,
-    )
-
-
-def check_allocation(instance: Instance, prices: Prices,
-                     alloc: Allocation) -> WalrasianCertificate:
-    """Certificate for a specific allocation instead of a searched one."""
-    prices = tuple(prices)
+def _certificate(instance: Instance, prices: Prices, alloc: Allocation,
+                 lyap: int, welfare: int) -> WalrasianCertificate:
+    """Check alloc at prices: demanded, disjoint bundles that leave no
+    positively priced item unallocated."""
     reports = demand.demand_reports(instance, prices)
     used = 0
     envy_free = len(alloc) == instance.n
@@ -229,13 +193,51 @@ def check_allocation(instance: Instance, prices: Prices,
         used |= s
     positive = sum(1 << j for j in range(instance.m) if prices[j] > 0)
     coverage = envy_free and not (positive & ~used)
-    lyap = demand.lyapunov(instance, prices)
-    welfare = max_welfare(instance).welfare
     return WalrasianCertificate(
         price=prices, allocation=tuple(alloc), envy_free=envy_free,
         coverage=coverage, bm_equality=lyap == welfare,
         lyapunov=lyap, max_welfare=welfare,
     )
+
+
+def is_walrasian(instance: Instance, prices: Prices,
+                 budget: Optional[int] = None) -> WalrasianCertificate:
+    """Certify a price vector by strong duality.
+
+    The Lyapunov value is never below the maximum welfare, and equals it
+    exactly when the price is Walrasian; then every welfare-maximal
+    allocation is Walrasian, so the welfare DP's own allocation is the
+    certificate. Otherwise the certificate is invalid and carries the first
+    envy-free allocation, if any. A Lyapunov value below the welfare, or a
+    welfare-maximal allocation failing the check at equality, raises
+    InvariantViolation. The budget bounds the DP and the envy-free search.
+    """
+    prices = tuple(prices)
+    lyap = demand.lyapunov(instance, prices)
+    best = max_welfare(instance, budget=budget)
+    if lyap < best.welfare:
+        raise InvariantViolation("Lyapunov value below max welfare")
+    if lyap == best.welfare:
+        cert = _certificate(instance, prices, best.allocation, lyap, best.welfare)
+        if not cert.valid:
+            raise InvariantViolation(
+                "Lyapunov equals max welfare but the welfare-maximal "
+                "allocation is not Walrasian")
+        return cert
+    plain = envy_free_exists(instance, prices, budget=budget)
+    return WalrasianCertificate(
+        price=prices, allocation=plain, envy_free=plain is not None,
+        coverage=False, bm_equality=False, lyapunov=lyap,
+        max_welfare=best.welfare,
+    )
+
+
+def check_allocation(instance: Instance, prices: Prices,
+                     alloc: Allocation) -> WalrasianCertificate:
+    """Certificate for a specific allocation instead of the DP's."""
+    prices = tuple(prices)
+    return _certificate(instance, prices, alloc, demand.lyapunov(instance, prices),
+                        max_welfare(instance).welfare)
 
 
 @dataclass(frozen=True)
@@ -314,9 +316,8 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
 
     meet_price = tuple(int(x) for x in meet)
     if demand.lyapunov(instance, meet_price) == welfare:
-        cert = is_walrasian(instance, meet_price, budget=budget)
-        if not cert.valid:
-            raise InvariantViolation("Lyapunov minimizer failed certification")
+        # at equality the certificate is checked, and raises if it fails
+        is_walrasian(instance, meet_price, budget=budget)
         return MinimalPriceReport(price=meet_price, unique=True,
                                   all_minimal=(meet_price,))
     if overflow:

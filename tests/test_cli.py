@@ -153,6 +153,15 @@ def test_oracle_budget_exceeded(capsys, two_path):
     assert "error" in payload
 
 
+def test_oracle_envy_free_budget_exceeded(capsys, two_path, monkeypatch):
+    monkeypatch.setenv("WALRAS_BUDGET", "1")
+    code, payload = run_cli(capsys, "oracle", "envy-free", "--instance",
+                            two_path, "--price", '{"x": 5}')
+    assert code == 1
+    assert payload == {"error": "budget exceeded",
+                       "detail": "envy-free search passed 2 nodes, budget 1"}
+
+
 def test_inspect(capsys, two_path):
     code, payload = run_cli(capsys, "inspect", "--instance", two_path,
                             "--price", '{"x": 2}')

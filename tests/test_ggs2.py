@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walras import demand, ggs2, model, oracle
 from walras.model import make_additive, make_instance, make_truncation, \
     make_unit_demand
 
 import conftest
+
+seeds = st.integers(0, 2 ** 31 - 1)
 
 
 def pair_cap(singles, cap):
@@ -45,13 +48,8 @@ def test_classify_players():
 
 
 def test_min_items():
-    rep = ggs2.min_items((2, 1, 2))
-    assert rep.min_bundle == 0b010
-    assert rep.min2_bundle == 0b101
-    # no runner-up set unless the minimum is unique
-    rep = ggs2.min_items((1, 1, 2))
-    assert rep.min_bundle == 0b011
-    assert rep.min2_bundle == 0
+    assert ggs2.min_items((2, 1, 2)) == 0b010
+    assert ggs2.min_items((1, 1, 2)) == 0b011
 
 
 def test_matching_and_hall_witness():
@@ -81,7 +79,7 @@ def test_claim_instance_run():
     assert len(trace.steps) == 2
     assert trace.final_price == (1, 1, 1, 1, 1, 1, 1, 2)
     assert cert.valid
-    assert cert.allocation == (3, 12, 48, 64, 128)
+    assert cert.allocation == oracle.max_welfare(claim_instance()).allocation
     assert cert.lyapunov == cert.max_welfare == 9
 
 
@@ -147,23 +145,41 @@ def test_certificate_json():
     assert payload["envy_free"] is True
     assert payload["all_positive_priced_allocated"] is True
     assert payload["lyapunov"] == payload["max_welfare"] == 9
-    assert sorted(payload["allocation"][0]) == ["i1", "i2"]
+    assert payload["allocation"] == [
+        inst.label_bundle(b) for b in oracle.max_welfare(inst).allocation]
 
 
-def test_random_corpus_certified():
-    rng = random.Random(77)
-    for _ in range(40):
-        inst = conftest.random_ggs2_instance(rng, max_m=5)
-        trace, cert = ggs2.ggs2_auction(inst)
-        assert trace.terminated, "engine must stop before the iteration cap"
-        assert trace.anomalies == ()
-        assert cert.valid
-        rep = oracle.minimal_walrasian_price(inst)
-        assert rep is not None, "certificate implies an equilibrium exists"
-        assert ggs2.gen_dom_check(inst, trace.final_price, rep.price,
-                                  cert.allocation) is None
-        if rep.unique:
-            assert trace.final_price == rep.price
+def test_stop_price_needs_a_zero_utility_buyer():
+    # at the stop price (4, 4, 4) the matching gives a to player 0 and b to
+    # player 1, and no demanded bundle grown from that takes c; the
+    # Walrasian allocation gives c to player 1 and b to the zero-utility
+    # player 2
+    inst = make_instance(["a", "b", "c"], [
+        pair_cap(v, 5) for v in ((5, 1, 5), (0, 5, 5), (4, 4, 3), (4, 3, 3))])
+    trace, cert = ggs2.ggs2_auction(inst)
+    assert trace.terminated and trace.anomalies == ()
+    assert trace.final_price == (4, 4, 4)
+    assert cert.valid
+    assert cert == oracle.check_allocation(inst, (4, 4, 4), cert.allocation)
+    assert oracle.minimal_walrasian_price(inst).price == (4, 4, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_random_corpus_certified(seed):
+    # up to six players over at most five items, so zero-utility players
+    # are common at the stop price
+    inst = conftest.random_ggs2_instance(random.Random(seed), max_m=5, max_n=6)
+    trace, cert = ggs2.ggs2_auction(inst)
+    assert trace.terminated, "engine must stop before the iteration cap"
+    assert trace.anomalies == ()
+    assert cert.valid
+    rep = oracle.minimal_walrasian_price(inst)
+    assert rep is not None, "certificate implies an equilibrium exists"
+    assert ggs2.gen_dom_check(inst, trace.final_price, rep.price,
+                              cert.allocation) is None
+    if rep.unique:
+        assert trace.final_price == rep.price
 
 
 def test_small_players_see_the_induced_unit_demand_market():

@@ -1,6 +1,7 @@
 """Brute-force oracle: welfare DP, envy-free search, Walrasian certification."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import walras
-from walras import demand, model, oracle
+from walras import auctions, cli, demand, ggs2, model, oracle
 from walras.model import make_instance, make_unit_demand, make_additive
 
 import conftest
@@ -77,6 +78,75 @@ def test_is_walrasian_three_failure_axes():
     # nobody takes x at 6 so the positively priced item stays unallocated
     high = oracle.is_walrasian(inst, (6,))
     assert not high.valid and not high.coverage
+
+
+def covering_search(inst, prices):
+    """is_walrasian's retired reference: the first allocation (players in
+    order, bundles by size then mask) that hands every player a demanded
+    bundle and covers every positively priced item, or None."""
+    reports = demand.demand_reports(inst, prices)
+    choices = [sorted(r.demand, key=lambda s: (s.bit_count(), s)) for r in reports]
+    n = inst.n
+    suffix_need = [0] * (n + 1)
+    suffix_union = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_need[i] = suffix_need[i + 1] + choices[i][0].bit_count()
+        u = 0
+        for s in choices[i]:
+            u |= s
+        suffix_union[i] = suffix_union[i + 1] | u
+    positive = sum(1 << j for j in range(inst.m) if prices[j] > 0)
+    picked = []
+
+    def rec(i, used):
+        if positive & ~used & ~suffix_union[i]:
+            return False
+        if i == n:
+            return True
+        free = inst.m - used.bit_count()
+        if suffix_need[i] > free:
+            return False
+        for s in choices[i]:
+            if s.bit_count() > free - suffix_need[i + 1]:
+                break
+            if s & used:
+                continue
+            picked.append(s)
+            if rec(i + 1, used | s):
+                return True
+            picked.pop()
+        return False
+
+    return tuple(picked) if rec(0, 0) else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_duality_certificate_matches_the_covering_search(seed):
+    rng = random.Random(seed)
+    kind = rng.choice(("gs", "ggs2", "mono"))
+    if kind == "gs":
+        inst = conftest.random_gs_instance(rng, max_m=5)
+    elif kind == "ggs2":
+        inst = conftest.random_ggs2_instance(rng, max_m=5, max_n=6)
+    else:
+        inst = conftest.random_monotone_instance(rng, max_m=5)
+    prices = [conftest.random_prices(rng, inst) for _ in range(3)]
+    for engine in (auctions.gul_stacchetti, auctions.fine_auction,
+                   auctions.ausubel_ascending):
+        prices.append(engine(inst).final_price)
+    if kind == "ggs2":
+        prices.append(ggs2.ggs2_auction(inst)[0].final_price)
+    best = oracle.max_welfare(inst)
+    for p in prices:
+        cert = oracle.is_walrasian(inst, p)
+        assert cert.valid == (covering_search(inst, p) is not None)
+        assert cert.valid == (cert.lyapunov == best.welfare)
+        if cert.valid:
+            assert cert.allocation == best.allocation
+            assert cert == oracle.check_allocation(inst, p, cert.allocation)
+        else:
+            assert cert.allocation == oracle.envy_free_exists(inst, p)
 
 
 def test_check_allocation():
@@ -228,10 +298,37 @@ def test_budget_is_checked_before_the_caches(monkeypatch):
         demand.lyapunov_descent(inst, (2, 0))
 
 
+def test_min_walrasian_certifies_under_the_callers_budget(capsys, tmp_path,
+                                                         monkeypatch):
+    # the welfare DP needs 18 steps and the grid has 12 points: over a
+    # default of 17 the certificate must reuse the DP run under --budget
+    inst = make_instance(["x", "y"], [make_unit_demand((3, 2)),
+                                      make_unit_demand((3, 2))])
+    path = tmp_path / "market.json"
+    path.write_text(model.instance_to_json(inst))
+    monkeypatch.setenv("WALRAS_BUDGET", "17")
+    assert cli.main(["oracle", "welfare", "--instance", str(path)]) == 1
+    assert "welfare DP needs 18 steps" in capsys.readouterr().out
+    assert cli.main(["oracle", "min-walrasian", "--instance", str(path),
+                     "--budget", "18"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"x": 1, "y": 0}
+
+
+def test_envy_free_search_is_bounded(monkeypatch):
+    inst = two_buyers_one_item()
+    with pytest.raises(oracle.BudgetExceeded,
+                       match="envy-free search passed 2 nodes, budget 1"):
+        oracle.envy_free_exists(inst, (5,), budget=1)
+    monkeypatch.setenv("WALRAS_BUDGET", "2")
+    with pytest.raises(oracle.BudgetExceeded,
+                       match="envy-free search passed 3 nodes, budget 2"):
+        oracle.envy_free_exists(inst, (5,))
+
+
 def test_invariant_violation_survives_python_O():
-    # a max_welfare off by one makes the covering allocation at the
-    # Walrasian price disagree with the welfare; under -O an assert would
-    # vanish and the certificate would claim bm_equality falsely
+    # a max_welfare off by one puts the welfare above the Lyapunov value,
+    # which weak duality rules out; under -O an assert would vanish and
+    # the certificate would be returned as if nothing were wrong
     code = textwrap.dedent("""
         import dataclasses, sys
         import walras
