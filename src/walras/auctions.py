@@ -8,10 +8,28 @@ and run_with_policy exposes the choice as a hook. The fourth raises the
 minimal Lyapunov-minimizing set until it is empty; on substitutes input
 it walks the identical price path.
 
+The full-set rule takes long steps. Its choice reads only the demand
+families at the current price, and along the ray p + k * 1_R those stay
+fixed until the break point k* of demand.stable_raises: every demanded
+bundle of player i meets R in the same c_i items, so all of them lose
+c_i per raise and no other bundle catches up before k*. Up to p + (k* -
+1) * 1_R the obstacle, its excess f and its tie-break flag are therefore
+those at p, and the Lyapunov value falls by exactly f per raise (the
+utilities lose sum c_i, the prices gain |R|). The loop appends those
+steps without building a view and builds the next one at p + k* * 1_R;
+the trace is the one the unit-step loop gives, step for step. The other
+rules keep unit steps: a policy may read the price and the step index,
+and the minimizer rule stays an independent computation to compare gs
+against.
+
 Engines never reject input. On valuations outside the substitutes
 class the loop may misbehave, so each step is watched: a Lyapunov
 increase is recorded as an anomaly and a hard iteration cap turns
-into a flagged, unterminated trace rather than an endless run.
+into a flagged, unterminated trace rather than an endless run. Two
+invariants raise InvariantViolation, also under python -O: a unit raise
+of R never lowers the Lyapunov value by more than its excess f (each old
+demanded bundle still reaches u_i - c_i), and the last price of a long
+step still has the demand families of its first.
 """
 
 from __future__ import annotations
@@ -21,7 +39,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import demand
-from .model import Instance, Prices, add_indicator, iter_items, prices_to_json
+from .model import (
+    Instance, InvariantViolation, Prices, add_indicator, iter_items, prices_to_json,
+)
 
 
 class PolicyViolation(RuntimeError):
@@ -35,6 +55,7 @@ class AuctionStep:
     raised: int
     lyapunov_before: int
     f_value: int
+    unique: bool        # the raise rule's choice needed no tie-break
 
 
 @dataclass(frozen=True)
@@ -56,37 +77,66 @@ def iteration_cap(instance: Instance) -> int:
 Policy = Callable[[demand.ObstacleReport, Prices, int], int]
 
 # A raise rule looks at the current price and returns the set the step
-# must raise within (0 once the auction stops) with a chooser that picks
-# the raised subset for step t. The loop calls the chooser only after the
-# iteration-cap test, so a policy is never consulted at the capped step.
-RaiseRule = Callable[[Instance, Prices], tuple[int, Callable[[int], int]]]
+# must raise within (0 once the auction stops), whether that set needed no
+# tie-break, and a chooser that picks the raised subset for step t. The
+# loop calls the chooser only after the iteration-cap test, so a policy is
+# never consulted at the capped step.
+RaiseRule = Callable[[Instance, Prices], tuple[int, bool, Callable[[int], int]]]
 
 
-def _ascend(instance: Instance, algorithm: str, rule: RaiseRule) -> AuctionTrace:
+def _ascend(instance: Instance, algorithm: str, rule: RaiseRule,
+            long_steps: bool = False) -> AuctionTrace:
     cap = iteration_cap(instance)
     p = instance.zero_prices()
     steps: list[AuctionStep] = []
     anomalies: list[str] = []
-    lyap = demand.lyapunov(instance, p)
-    while True:
-        target, choose = rule(instance, p)
-        if target == 0:
-            return AuctionTrace(algorithm, tuple(steps), p, True, False,
-                                tuple(anomalies))
-        if len(steps) >= cap:
+
+    def stop(capped: bool) -> AuctionTrace:
+        if capped:
             anomalies.append(f"iteration cap {cap} hit")
-            return AuctionTrace(algorithm, tuple(steps), p, False, True,
-                                tuple(anomalies))
-        raised = choose(len(steps))
-        if raised == 0 or raised & ~target:
-            raise PolicyViolation(
-                f"step {len(steps)}: chose {raised:#x} outside obstacle "
-                f"{target:#x}"
-            )
-        f_val = demand.excess_demand(instance, p, raised)
-        steps.append(AuctionStep(len(steps), p, raised, lyap, f_val))
+        return AuctionTrace(algorithm, tuple(steps), p, not capped, capped,
+                            tuple(anomalies))
+
+    lyap = demand.lyapunov(instance, p)
+    left = 0        # raises left in the current step, all of one set
+    while True:
+        # within a long step the rule would choose the same set again
+        if not left:
+            target, unique, choose = rule(instance, p)
+            if target == 0:
+                return stop(capped=False)
+        if len(steps) >= cap:
+            return stop(capped=True)
+        if not left:
+            raised = choose(len(steps))
+            if raised == 0 or raised & ~target:
+                raise PolicyViolation(
+                    f"step {len(steps)}: chose {raised:#x} outside obstacle "
+                    f"{target:#x}"
+                )
+            f_val = demand.excess_demand(instance, p, raised)
+            # gs raises an over-demanded set, which some player's demand
+            # meets, so its break point is finite
+            left = demand.stable_raises(instance, p, raised) if long_steps else 1
+            families = (tuple(r.demand for r in demand.demand_reports(instance, p))
+                        if left > 1 else None)
+        steps.append(AuctionStep(len(steps), p, raised, lyap, f_val, unique))
         p = add_indicator(p, raised)
-        new_lyap = demand.lyapunov(instance, p)
+        left -= 1
+        if left:
+            new_lyap = lyap - f_val
+        else:
+            new_lyap = demand.lyapunov(instance, p)
+            if new_lyap < lyap - f_val:
+                raise InvariantViolation(
+                    f"step {len(steps) - 1}: Lyapunov value fell from {lyap} "
+                    f"to {new_lyap}, more than the excess {f_val}")
+            if families is not None:
+                last = add_indicator(p, raised, -1)
+                if demand.demand_families(instance, last) != families:
+                    raise InvariantViolation(
+                        f"step {len(steps) - 1}: demand at {last} differs from "
+                        f"the start of its long step")
         if new_lyap > lyap:
             anomalies.append(f"lyapunov rose at step {len(steps) - 1}")
         lyap = new_lyap
@@ -96,18 +146,20 @@ def _obstacle_rule(policy: Policy) -> RaiseRule:
     """Raise the policy's pick from the minimal over-demanded set."""
     def rule(instance: Instance, p: Prices):
         ob = demand.over_demanded_set(instance, p)
-        return (ob.bundle if ob.excess > 0 else 0), lambda t: policy(ob, p, t)
+        return ((ob.bundle if ob.excess > 0 else 0), ob.unique,
+                lambda t: policy(ob, p, t))
     return rule
 
 
 def _minimizer_rule(instance: Instance, p: Prices):
-    raised = demand.minimal_minimizer(instance, p)
-    return raised, lambda t: raised
+    mm = demand.minimal_minimizer_report(instance, p)
+    return mm.bundle, mm.unique, lambda t: mm.bundle
 
 
 def gul_stacchetti(instance: Instance) -> AuctionTrace:
-    """Raise the whole minimal over-demanded set each step."""
-    return _ascend(instance, "gs", _obstacle_rule(lambda ob, p, t: ob.bundle))
+    """Raise the whole minimal over-demanded set each step, in long steps."""
+    return _ascend(instance, "gs", _obstacle_rule(lambda ob, p, t: ob.bundle),
+                   long_steps=True)
 
 
 def fine_auction(instance: Instance) -> AuctionTrace:
@@ -163,6 +215,7 @@ def trace_to_json(trace: AuctionTrace, instance: Instance) -> dict:
                 "raised": [instance.items[j] for j in iter_items(s.raised)],
                 "lyapunov": s.lyapunov_before,
                 "f": s.f_value,
+                "unique": s.unique,
             }
             for s in trace.steps
         ],

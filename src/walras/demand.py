@@ -17,7 +17,9 @@ derived quantities drive everything else here:
 over_demanded_set returns the inclusion-minimal maximizer of excess demand;
 minimal_minimizer returns the smallest bundle whose unit raise minimizes the
 Lyapunov function. On gross-substitutes input the two coincide step for step,
-which the auction engines exploit and the tests verify.
+which the auction engines exploit and the tests verify. stable_raises counts
+the unit raises of a set that leave every demand family as it is, so the
+gs engine can take them without a view for each.
 
 Demand, D*(p) and the overlaps enumerate all 2**m bundles per player, and
 the obstacle all 2**m excess values. Three quantities are sweeps instead,
@@ -295,6 +297,59 @@ def lyapunov(instance: Instance, prices: Prices) -> int:
     """Total maximum utility plus total price."""
     view = _market(instance, prices)
     return sum(pl.utility for pl in view.players) + sum(prices)
+
+
+def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[int]:
+    """The break point k*: unit raises of raised from prices that keep every
+    player's demand family, or None when no raise ever changes it.
+
+    Along p + k * 1_R a bundle T's utility falls by k * |T & R|. When all of
+    player i's demanded bundles share one overlap c_i with R, they stay its
+    demand family until a bundle T with |T & R| < c_i catches up, at
+    k = ceil((u_i - u_T) / (c_i - |T & R|)); k* is the least such k over all
+    players and bundles, so the prices p .. p + (k* - 1) * 1_R share D(p),
+    and with it D*(p), the overlaps and the excess vector. When some
+    player's demanded bundles meet R in different numbers, only those
+    meeting it least stay demanded after one raise: k* is 1, found from the
+    demand families alone. Otherwise one pass over the n * 2**m utilities,
+    grouped by their bundle's overlap with R.
+    """
+    view = _market(instance, prices)
+    held = []
+    for pl in view.players:
+        c = popcount(pl.demand[0] & raised)
+        if any(popcount(s & raised) != c for s in pl.demand):
+            return 1
+        held.append(c)
+    if not any(held):
+        return None
+    _, pc = _static(instance.m)
+    meet = pc[np.arange(1 << instance.m, dtype=np.int64) & raised]
+    util = np.stack([v.np_table for v in instance.players])
+    util -= view.pcost
+    top = np.array([pl.utility for pl in view.players], dtype=np.int64)
+    over = np.array(held, dtype=np.int64)
+    found = []
+    for level in range(max(held)):
+        # every level up to |R| has bundles, so the initial never survives
+        best = util.max(axis=1, where=meet == level, initial=np.iinfo(np.int64).min)
+        behind = over > level
+        # ceil((u_i - u_T) / (c_i - level)) by exact floor division
+        found.append((-((best - top)[behind] // (over[behind] - level))).min())
+    return int(min(found))
+
+
+def demand_families(instance: Instance, prices: Prices) -> tuple[tuple[int, ...], ...]:
+    """Each player's demand family at prices, straight from the value tables.
+
+    Reads no view and stores none, so it checks the views independently:
+    the auction loop uses it to confirm the last price of a long step.
+    """
+    bits, _ = _static(instance.m)
+    util = np.stack([v.np_table for v in instance.players])
+    util -= bits @ np.asarray(prices, dtype=np.int64)
+    hit = util == util.max(axis=1, keepdims=True)
+    return tuple(tuple(int(s) for s in np.flatnonzero(row)) for row in hit)
 
 
 def _lyapunov_after_raise(instance: Instance, prices: Prices) -> np.ndarray:

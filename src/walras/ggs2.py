@@ -255,7 +255,7 @@ def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCert
             # singleton values define: the induced substitutes market
             ob = demand.over_demanded_set(instance, p, players=cls.small)
             if ob.excess > 0:
-                p = _record_step(instance, steps, p, ob.bundle, ob.excess)
+                p = _record_step(instance, steps, p, ob.bundle, ob.unique, ob.excess)
                 continue
         # per-player overlap counts are nonnegative, so the whole market's
         # excess dominates the induced one; an over-demanded set here rules
@@ -265,7 +265,7 @@ def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCert
         # rise)
         ob = demand.over_demanded_set(instance, p)
         if ob.excess > 0:
-            p = _record_step(instance, steps, p, ob.bundle, ob.excess)
+            p = _record_step(instance, steps, p, ob.bundle, ob.unique, ob.excess)
             continue
 
         active = tuple(sorted(cls.small + cls.pair_players))
@@ -282,20 +282,22 @@ def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCert
                                  tuple(anomalies))
             return trace, cert
 
-        p = _record_step(instance, steps, p, min_items(p))
+        p = _record_step(instance, steps, p, min_items(p), True)
 
 
 def _record_step(instance: Instance, steps: list[AuctionStep], p: Prices,
-                 raised: int, f_val: Optional[int] = None) -> Prices:
+                 raised: int, unique: bool, f_val: Optional[int] = None) -> Prices:
     """Append the unit raise of raised at p to steps; return the new price.
 
-    f_val defaults to the whole market's excess demand for raised. No
-    Lyapunov-rise check runs here, unlike the obstacle loop.
+    unique is the obstacle's tie-break flag, True for the minimum-price
+    raise, which makes no choice. f_val defaults to the whole market's
+    excess demand for raised. No Lyapunov-rise check runs here, unlike the
+    obstacle loop.
     """
     lyap = demand.lyapunov(instance, p)
     if f_val is None:
         f_val = demand.excess_demand(instance, p, raised)
-    steps.append(AuctionStep(len(steps), p, raised, lyap, f_val))
+    steps.append(AuctionStep(len(steps), p, raised, lyap, f_val, unique))
     return add_indicator(p, raised)
 
 

@@ -139,7 +139,10 @@ def envy_free_exists(instance: Instance, prices: Prices,
     """A disjoint allocation of demanded bundles, or None when impossible.
 
     Deterministic: the first solution in player order with bundles tried
-    smallest first. The backtracking counts its nodes against the budget.
+    smallest first. Whether players i.. can complete depends only on i and
+    the items already used, so a failed (i, used) state is remembered and
+    never expanded again: at most (n + 1) * 2**m nodes. The backtracking
+    counts its nodes against the budget.
     """
     if budget is None:
         budget = env_budget(DEFAULT_OP_BUDGET)
@@ -150,10 +153,13 @@ def envy_free_exists(instance: Instance, prices: Prices,
     for i in range(n - 1, -1, -1):
         suffix_need[i] = suffix_need[i + 1] + popcount(choices[i][0])
     picked: list[int] = []
+    failed: set[tuple[int, int]] = set()
     nodes = 0
 
     def rec(i: int, used: int) -> bool:
         nonlocal nodes
+        if (i, used) in failed:
+            return False
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(
@@ -162,6 +168,7 @@ def envy_free_exists(instance: Instance, prices: Prices,
             return True
         free = instance.m - popcount(used)
         if suffix_need[i] > free:
+            failed.add((i, used))
             return False
         for s in choices[i]:
             if popcount(s) > free - suffix_need[i + 1]:
@@ -172,6 +179,7 @@ def envy_free_exists(instance: Instance, prices: Prices,
             if rec(i + 1, used | s):
                 return True
             picked.pop()
+        failed.add((i, used))
         return False
 
     if rec(0, 0):

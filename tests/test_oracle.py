@@ -325,6 +325,19 @@ def test_envy_free_search_is_bounded(monkeypatch):
         oracle.envy_free_exists(inst, (5,))
 
 
+def test_envy_free_search_expands_each_state_once():
+    # twelve players want one of eleven items: without remembering failed
+    # (player, used-items) states the search retries every order of them
+    items = [f"i{j}" for j in range(12)]
+    inst = make_instance(items, [make_unit_demand((1,) * 11 + (0,))] * 12)
+    assert oracle.envy_free_exists(inst, inst.zero_prices(),
+                                   budget=(inst.n + 1) * 2 ** inst.m) is None
+    # the first solution found is unchanged: players take i0, i1, ... in turn
+    eleven = make_instance(items, [make_unit_demand((1,) * 11 + (0,))] * 11)
+    assert oracle.envy_free_exists(eleven, eleven.zero_prices()) == \
+        tuple(1 << j for j in range(11))
+
+
 def test_invariant_violation_survives_python_O():
     # a max_welfare off by one puts the welfare above the Lyapunov value,
     # which weak duality rules out; under -O an assert would vanish and
