@@ -147,10 +147,10 @@ def _check_lemmas(instance: Instance) -> list[dict]:
     for p in _price_battery(instance):
         for i, v in enumerate(instance.players):
             base_u = demand.demand_sets(v, p).utility
+            raised = demand.utilities_after_raise((v,), p)[0]
             for s in range(1, 1 << m):
-                shifted = add_indicator(p, s)
                 drop = demand.min_demand_overlap(v, p, s)
-                lhs = demand.demand_sets(v, shifted).utility
+                lhs = int(raised[s])
                 if lhs != base_u - drop:
                     findings.append({
                         "player": i, "price": prices_to_json(p, instance),

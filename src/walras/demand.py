@@ -27,13 +27,18 @@ all one (max,+) pass per item over the subset lattice (_raise_sweep): the
 Lyapunov values after every unit raise p + 1_S (n * m * 2**m steps), after
 every move p + 1_S - 1_T (about 3 * n * 3**m steps, within the op budget),
 and, for oracle.minimal_walrasian_price, at every point of a price grid
-(about twice the grid size per player). The per-price views behind these
-reports are memoized for one market at a time: the instance (or, for
-demand_sets and min_demand_overlap, the valuation) queried last, compared
-by identity, so the engines run on one market share its views without
-hashing its tables. A query on another market starts the memo afresh;
-once the views hold MEMO_ENTRIES int64 entries, each new view replaces
-the last one added.
+(about twice the grid size per player). Every price grid has the layout
+that sweep leaves, item 0 fastest, and only this module knows it: a grid
+vector's reshape(radix, order="F") is an array whose axis j is item j.
+A view's two super-linear steps, the minimal filter (|D| * |D*|
+comparisons) and the overlap gather (|D*| * 2**m entries), raise
+BudgetExceeded past DEFAULT_OP_BUDGET, which WALRAS_BUDGET does not move.
+The per-price views behind these reports are memoized for one market at a
+time: the instance (or, for demand_sets and min_demand_overlap, the
+valuation) queried last, compared by identity, so the engines run on one
+market share its views without hashing its tables. A query on another
+market starts the memo afresh; once the views hold MEMO_ENTRIES int64
+entries, each new view replaces the last one added.
 """
 
 from __future__ import annotations
@@ -63,18 +68,31 @@ def _static(m: int):
     return bits, pc
 
 
-def _price_grid(radix, rows) -> np.ndarray:
-    """The given rows of the mixed-radix price grid, one price per row.
+def _utilities(players: Sequence[Valuation], prices: Prices) -> np.ndarray:
+    """players x 2**m: each value table minus the price of every bundle."""
+    bits, _ = _static(players[0].m)
+    util = np.stack([v.np_table for v in players])
+    util -= bits @ np.asarray(prices, dtype=np.int64)
+    return util
 
-    Coordinate j runs over range(radix[j]) and the last coordinate moves
-    fastest, so row k is the base-radix expansion of k.
+
+def _grid_sum(offsets) -> np.ndarray:
+    """offsets[0][x_0] + ... + offsets[m-1][x_{m-1}] at every grid point X.
+
+    This is the one layout of a price grid, the one _raise_sweep leaves:
+    item 0 moves fastest, so vec.reshape(radix, order="F") is a free view
+    whose axis j is item j, and np.argwhere reads price tuples off it.
     """
-    rem = np.asarray(rows, dtype=np.int64)
-    grid = np.empty((len(rem), len(radix)), dtype=np.int64)
-    for j in range(len(radix) - 1, -1, -1):
-        grid[:, j] = rem % radix[j]
-        rem = rem // radix[j]
-    return grid
+    total = np.zeros(1, dtype=np.int64)
+    for off in offsets:
+        total = (np.asarray(off, dtype=np.int64)[:, None] + total).ravel()
+    return total
+
+
+def _grid_meet(points: np.ndarray, radix) -> tuple[int, ...]:
+    """Coordinatewise minimum of the grid points where points is true."""
+    coords = np.unravel_index(np.flatnonzero(points), radix, order="F")
+    return tuple(int(c.min()) for c in coords)
 
 
 def _raise_sweep(util: np.ndarray, options) -> np.ndarray:
@@ -105,12 +123,18 @@ def _raise_sweep(util: np.ndarray, options) -> np.ndarray:
 
 
 def _minimal_members(demand: tuple[int, ...]) -> tuple[int, ...]:
-    """Inclusion-minimal members of a family of masks."""
+    """Inclusion-minimal members of a family of masks, in at most
+    |family| * |minimal| comparisons, bounded by the default op budget."""
     by_size = sorted(demand, key=lambda s: (popcount(s), s))
     accepted: list[int] = []
     for cand in by_size:
         if not any(low & cand == low for low in accepted):
             accepted.append(cand)
+            if len(by_size) * len(accepted) > DEFAULT_OP_BUDGET:
+                raise BudgetExceeded(
+                    f"minimal filter of {len(by_size)} bundles needs up to "
+                    f"{len(by_size) * len(accepted)} comparisons, "
+                    f"budget {DEFAULT_OP_BUDGET}")
     return tuple(sorted(accepted))
 
 
@@ -128,21 +152,21 @@ class _PlayerView:
 
 
 class _MarketView:
-    __slots__ = ("players", "excess", "pcost")
+    __slots__ = ("players", "excess")
 
-    def __init__(self, players, excess, pcost):
+    def __init__(self, players, excess):
         self.players = players
         self.excess = excess        # excess demand per bundle mask
-        self.pcost = pcost
 
 
 # The most int64 entries held in the views of one market (16 MB); a view
-# of n players holds (n + 2) * 2**m. An engine visits each price once, so
-# the views worth keeping are the first ones, which a later engine on the
-# same market walks again from the same start: once the memo is full, each
-# new view replaces the last one added instead. The benchmark's ladder
-# keeps all but a few dozen of the views it revisits, and deep's runs of
-# up to 6,000 steps hold no more memory than 1,024 views did.
+# of n players counts as (n + 2) * 2**m, its demand tuples as one array.
+# An engine visits each price once, so the views worth keeping are the
+# first ones, which a later engine on the same market walks again from the
+# same start: once the memo is full, each new view replaces the last one
+# added instead. The benchmark's ladder keeps all but a few dozen of the
+# views it revisits, and deep's runs of up to 6,000 steps hold no more
+# memory than 1,024 views did.
 MEMO_ENTRIES = 1 << 21
 
 # (owner, views by price) for the market queried last. Swapped as one
@@ -173,11 +197,15 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
         top = int(util.max())
         demand = tuple(int(s) for s in np.nonzero(util == top)[0])
         minimal = _minimal_members(demand)
+        if len(minimal) << m > DEFAULT_OP_BUDGET:
+            raise BudgetExceeded(
+                f"demand overlaps need {len(minimal) << m} entries, "
+                f"budget {DEFAULT_OP_BUDGET}")
         overlap = pc[np.asarray(minimal, dtype=np.int64)[:, None]
                      & np.arange(1 << m, dtype=np.int64)[None, :]].min(axis=0)
         reports.append(_PlayerView(top, demand, minimal, overlap))
         excess = excess + overlap
-    view = _MarketView(tuple(reports), excess, pcost)
+    view = _MarketView(tuple(reports), excess)
     if (len(views) + 1) * ((len(players) + 2) << m) > MEMO_ENTRIES:
         with suppress(KeyError):    # empty, or emptied by another thread
             views.popitem()
@@ -325,8 +353,7 @@ def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[i
         return None
     _, pc = _static(instance.m)
     meet = pc[np.arange(1 << instance.m, dtype=np.int64) & raised]
-    util = np.stack([v.np_table for v in instance.players])
-    util -= view.pcost
+    util = _utilities(instance.players, prices)
     top = np.array([pl.utility for pl in view.players], dtype=np.int64)
     over = np.array(held, dtype=np.int64)
     found = []
@@ -345,18 +372,15 @@ def demand_families(instance: Instance, prices: Prices) -> tuple[tuple[int, ...]
     Reads no view and stores none, so it checks the views independently:
     the auction loop uses it to confirm the last price of a long step.
     """
-    bits, _ = _static(instance.m)
-    util = np.stack([v.np_table for v in instance.players])
-    util -= bits @ np.asarray(prices, dtype=np.int64)
+    util = _utilities(instance.players, prices)
     hit = util == util.max(axis=1, keepdims=True)
     return tuple(tuple(int(s) for s in np.flatnonzero(row)) for row in hit)
 
 
-def _lyapunov_after_raise(instance: Instance, prices: Prices) -> np.ndarray:
-    """Vector of L(p + 1_S) over all bundles S."""
-    util = np.stack([v.np_table for v in instance.players]) - _market(instance, prices).pcost
-    _, pc = _static(instance.m)
-    return pc + sum(prices) + _raise_sweep(util, [(0, -1)] * instance.m).sum(axis=0)
+def utilities_after_raise(players: Sequence[Valuation], prices: Prices) -> np.ndarray:
+    """players x 2**m: each player's best utility at p + 1_S for every
+    bundle S, max over T of u(T) - |S & T|, by one sweep."""
+    return _raise_sweep(_utilities(players, prices), [(0, -1)] * len(prices))
 
 
 def minimal_minimizer_report(instance: Instance, prices: Prices) -> MinimizerReport:
@@ -366,7 +390,10 @@ def minimal_minimizer_report(instance: Instance, prices: Prices) -> MinimizerRep
     item order; the unique flag records whether the lexicographic tie-break
     fired. On gross-substitutes input the minimizer is provably unique.
     """
-    after = _lyapunov_after_raise(instance, tuple(prices))
+    prices = tuple(prices)
+    _, pc = _static(instance.m)
+    raised = utilities_after_raise(instance.players, prices).sum(axis=0)
+    after = pc + sum(prices) + raised       # L(p + 1_S) for every bundle S
     low = int(after.min())
     cands = [int(s) for s in np.nonzero(after == low)[0]]
     size = min(popcount(s) for s in cands)
@@ -394,25 +421,20 @@ def lyapunov_descent(instance: Instance, prices: Prices) -> Optional[DescentStep
     if instance.n * 3 ** m > budget:
         raise BudgetExceeded(
             f"descent scan needs {instance.n * 3 ** m} entries, budget {budget}")
-    base = lyapunov(instance, prices)
-    util = np.stack([v.np_table for v in instance.players]) - _market(instance, prices).pcost
-    # option 0 keeps item j's price, 1 raises it, 2 lowers it
-    after = _raise_sweep(util, [(0, -1, 1)] * m).sum(axis=0)
-    shift = np.zeros(1, dtype=np.int64)
-    allowed = np.ones(1, dtype=bool)
-    for j in range(m):
-        shift = (np.array([0, 1, -1])[:, None] + shift).ravel()
-        allowed = (np.array([True, True, prices[j] > 0])[:, None] & allowed).ravel()
-    after += shift + sum(prices)
-    # a price of 0 is never lowered; like move 0, such a move cannot win
-    after[~allowed] = base
+    util = _utilities(instance.players, prices)
+    base = int(util.max(axis=1).sum()) + sum(prices)
+    # option 0 keeps item j's price, 1 raises it, 2 lowers it if positive;
+    # move 0 gives base, so it never wins
+    options = [(0, -1, 1) if x > 0 else (0, -1) for x in prices]
+    after = _raise_sweep(util, options).sum(axis=0)
+    after += _grid_sum([(0, 1, -1)[:len(o)] for o in options]) + sum(prices)
     low = int(after.min())
     if low >= base:
         return None
     # first minimizer in the order smallest lowered set, then largest raised set
-    best = np.nonzero(after == low)[0]
-    digits = best[:, None] // 3 ** np.arange(m) % 3
-    raised, lowered = ((digits == x) @ (1 << np.arange(m)) for x in (1, 2))
+    shape = [len(o) for o in options]
+    moves = np.argwhere(after.reshape(shape, order="F") == low)
+    raised, lowered = ((moves == x) @ (1 << np.arange(m)) for x in (1, 2))
     first = np.lexsort((-raised, lowered))[0]
     return DescentStep(raise_bundle=int(raised[first]), lower_bundle=int(lowered[first]),
                        lyapunov_after=low)

@@ -2,9 +2,9 @@
 
 Everything here is exhaustive search over explicit tables: welfare by exact
 dynamic programming over item subsets, envy-free allocations by backtracking
-over demand families, Walrasian prices by scanning a price grid for Lyapunov
-minimizers. The auction engines are never consulted; these functions exist
-to check them.
+over demand families, Walrasian prices by scanning a price grid (laid out
+by demand, read here by price tuples) for Lyapunov minimizers. The auction
+engines are never consulted; these functions exist to check them.
 
 A price vector is Walrasian when some allocation gives every player a bundle
 from its demand family and leaves no positively priced item unallocated. At
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -260,10 +261,8 @@ def _coordinate_bounds(instance: Instance, bound: int) -> list[int]:
     # singleton value, so a Walrasian price either clears it at 0 or sits
     # below that value. Only sound under submodularity.
     if all(is_submodular(v.table, v.m) for v in instance.players):
-        caps = []
-        for j in range(instance.m):
-            caps.append(min(bound, max(v.table[1 << j] for v in instance.players)))
-        return caps
+        return [min(bound, max(v.table[1 << j] for v in instance.players))
+                for j in range(instance.m)]
     return [bound] * instance.m
 
 
@@ -280,62 +279,47 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
     minimum equals the maximum welfare. The coordinatewise meet of the
     minimizers is tried first: when it is itself a minimizer the minimum is
     unique (the lattice case, guaranteed for gross substitutes). Otherwise
-    all incomparable minimal prices are reported and the lexicographically
-    smallest is returned.
+    the minimizers outside the up-closure of the others are all reported,
+    in lexicographic order, and the first is returned. A grid minimum below
+    the maximum welfare breaks weak duality and raises InvariantViolation.
     """
     if bound is None:
         bound = instance.vmax
     if budget is None:
         budget = env_budget(DEFAULT_GRID_BUDGET)
     caps = _coordinate_bounds(instance, bound)
-    radix = [c + 1 for c in caps]
-    total = 1
-    for r in radix:
-        total *= r
-    if total > budget:
-        raise BudgetExceeded(f"price grid has {total} points, budget {budget}")
+    radix = tuple(c + 1 for c in caps)
+    if prod(radix) > budget:
+        raise BudgetExceeded(f"price grid has {prod(radix)} points, budget {budget}")
 
     welfare = max_welfare(instance, budget=budget).welfare
-    # grid points are indexed with item 0 moving fastest, as the sweep
-    # leaves them; start from the total price at each point
-    lvals = np.zeros(1, dtype=np.int64)
-    for r in radix:
-        lvals = (np.arange(r, dtype=np.int64)[:, None] + lvals).ravel()
+    # L at every grid point: the total price plus each player's best utility
+    lvals = demand._grid_sum([np.arange(r) for r in radix])
     options = [-np.arange(r, dtype=np.int64) for r in radix]
     for v in instance.players:
         lvals += demand._raise_sweep(v.np_table[None, :], options)[0]
     best = int(lvals.min())
-    if best != welfare:
+    if best < welfare:
+        raise InvariantViolation("Lyapunov value below max welfare on the price grid")
+    if best > welfare:
         return None
 
-    found = np.flatnonzero(lvals == best)
-    cap_store = 1 << 17
-    overflow = len(found) > cap_store
-    meet = None
-    minimizers: list[Prices] = []
-    chunk = 1 << 14
-    for start in range(0, len(found), chunk):
-        # the decoder moves the last coordinate fastest: decode reversed
-        rows = demand._price_grid(radix[::-1], found[start:start + chunk])[:, ::-1]
-        low = rows.min(axis=0)
-        meet = low if meet is None else np.minimum(meet, low)
-        if not overflow:
-            minimizers.extend(tuple(int(x) for x in r) for r in rows)
-
-    meet_price = tuple(int(x) for x in meet)
-    if demand.lyapunov(instance, meet_price) == welfare:
+    found = lvals == best
+    grid = found.reshape(radix, order="F")
+    meet = demand._grid_meet(found, radix)
+    if grid[meet]:
         # at equality the certificate is checked, and raises if it fails
-        is_walrasian(instance, meet_price, budget=budget)
-        return MinimalPriceReport(price=meet_price, unique=True,
-                                  all_minimal=(meet_price,))
-    if overflow:
-        raise BudgetExceeded(
-            "too many Lyapunov minimizers to compare without a lattice minimum"
-        )
-    minimal = []
-    for p in minimizers:
-        if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in minimizers):
-            minimal.append(p)
-    minimal.sort()
-    return MinimalPriceReport(price=minimal[0], unique=len(minimal) == 1,
-                              all_minimal=tuple(minimal))
+        is_walrasian(instance, meet, budget=budget)
+        return MinimalPriceReport(price=meet, unique=True, all_minimal=(meet,))
+    # no lattice minimum: a minimizer is minimal unless the up-closure of
+    # the minimizers holds the point one unit below it along some axis
+    up = grid
+    for axis in range(len(radix)):
+        up = np.logical_or.accumulate(up, axis=axis)
+    minimal = grid.copy()
+    for axis in range(len(radix)):
+        below = (slice(None),) * axis
+        minimal[below + (slice(1, None),)] &= ~up[below + (slice(None, -1),)]
+    prices = [tuple(int(x) for x in p) for p in np.argwhere(minimal)]
+    return MinimalPriceReport(price=prices[0], unique=len(prices) == 1,
+                              all_minimal=tuple(prices))

@@ -11,7 +11,9 @@ Scanning all comparable price pairs is equivalent, on the grid, to scanning
 unit steps q = p + 1_j: walking from p up to q one unit at a time keeps
 every item whose endpoint prices agree untouched, so demanded-membership of
 those items chains through the walk, and conversely a failing unit step is
-itself a failing pair. The scan here does unit steps and returns witnesses
+itself a failing pair. The scan here does unit steps on an (m+1)-axis
+array of demanded bundles, one axis per item and one over bundles, and
+returns the first witness in lexicographic order of (price, item, bundle),
 in doubled-price coordinates.
 """
 
@@ -103,47 +105,41 @@ def check_gs_on_grid(v: Valuation, bound: Optional[int] = None,
         raise BudgetExceeded(f"grid scan needs {points * m} visits, budget {budget}")
 
     bits, _ = demand._static(m)
-    grid = demand._price_grid([radix] * m, np.arange(points))
-    pcost = grid @ bits.T
-    util = doubled[None, :] - pcost
-    top = util.max(axis=1)
-    demanded = util == top[:, None]
+    # demanded[p + (S,)]: bundle S is demanded at grid price p
+    util = np.broadcast_to(doubled, (radix,) * m + (1 << m,)).copy()
+    for j, x in enumerate(np.ix_(*[np.arange(radix)] * m)):
+        util -= x[..., None] * bits[:, j]
+    demanded = util == util.max(axis=-1, keepdims=True)
+    del util
 
-    # reach[k, R] records whether some demanded bundle at point k contains R
+    # reach[p + (R,)] records whether some demanded bundle at p contains R
     reach = demanded.copy()
     cols = np.arange(1 << m)
     for j in range(m):
-        reach |= reach[:, cols | (1 << j)]
+        reach |= np.take(reach, cols | (1 << j), axis=-1)
 
+    # the first (p, j, S) in lexicographic order whose unit step q = p + 1_j
+    # demands no bundle holding S's other items
     best = None
     for j in range(m):
-        stride = radix ** (m - 1 - j)
-        valid = grid[:, j] < bound
-        rows = np.nonzero(valid)[0]
-        kept_cols = cols & ~(1 << j)
-        viol = demanded[rows] & ~reach[rows + stride][:, kept_cols]
-        hit_rows = np.nonzero(viol.any(axis=1))[0]
-        if hit_rows.size:
-            r = int(hit_rows[0])
-            s = int(np.nonzero(viol[r])[0][0])
-            cand = (int(rows[r]), j, s)
+        axis = (slice(None),) * j
+        high = np.take(reach[axis + (slice(1, None),)], cols & ~(1 << j), axis=-1)
+        viol = demanded[axis + (slice(None, -1),)] & ~high
+        hits = np.argwhere(viol.any(axis=-1))
+        if len(hits):
+            p = tuple(int(x) for x in hits[0])
+            cand = (p, j, int(np.flatnonzero(viol[p])[0]))
             if best is None or cand < best:
                 best = cand
     if best is None:
         return None
 
-    k, j, s = best
-    p = tuple(int(x) for x in grid[k])
+    p, j, s = best
     q = add_indicator(p, 1 << j)
     kept = s & ~(1 << j)
-    high = [int(t) for t in np.nonzero(demanded[k + radix ** (m - 1 - j)])[0]]
-    union_high = 0
-    for t in high:
-        union_high |= t
+    union_high = int(np.bitwise_or.reduce(np.flatnonzero(demanded[q])))
     excluded = kept & ~union_high
-    violated = None
-    if excluded:
-        violated = min(iter_items(excluded))
+    violated = min(iter_items(excluded)) if excluded else None
     witness = GsWitness(price_low=p, price_high=q, bundle=s,
                         kept_bundle=kept, violated_item=violated)
     if not gs_witness_holds(v, witness):

@@ -4,10 +4,16 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import walras
 from walras import auctions, cli, model
 from walras.model import make_instance, make_truncation, make_unit_demand
 
@@ -205,6 +211,45 @@ def test_ausubel_and_inspect_run_past_twelve_items(capsys, tmp_path,
     assert aus.terminated
     assert dataclasses.replace(aus, algorithm="gs") == \
         auctions.gul_stacchetti(inst)
+
+
+def sixteen_items(k, cap, value):
+    """One truncation of an additive valuation over sixteen items."""
+    items = "abcdefghijklmnop"
+    return {"items": list(items), "players": [{
+        "type": "truncation", "k": k, "M": cap,
+        "base": {"type": "additive", "values": {x: value for x in items}}}]}
+
+
+@pytest.mark.parametrize("market,price,command,message", [
+    # 39,203 demanded bundles at zero prices, 12,870 of them minimal: the
+    # overlap gather alone would need 6.3 GiB
+    (sixteen_items(8, 8, 1), 0, "inspect", "minimal filter of 39203 bundles"),
+    (sixteen_items(8, 8, 1), 0, "run", "minimal filter of 39203 bundles"),
+    # exactly the 560 triples demanded at price 1: a cheap filter, but
+    # 560 * 2**16 overlap entries
+    (sixteen_items(4, 6, 2), 1, "inspect", "demand overlaps need 36700160 entries"),
+])
+def test_market_view_is_bounded(tmp_path, market, price, command, message):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(market))
+    argv = {"inspect": ["inspect", "--price",
+                        json.dumps({x: price for x in market["items"]})],
+            "run": ["run", "--algorithm", "gs"]}[command]
+
+    def one_gib():
+        # a missed bound then fails with MemoryError, not the machine
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(walras.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "WALRAS_BUDGET": str(10 ** 12)}
+    out = subprocess.run([sys.executable, "-m", "walras.cli", *argv,
+                          "--instance", str(path)],
+                         env=env, capture_output=True, text=True,
+                         preexec_fn=one_gib, timeout=120)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"error: {message}"), out.stderr
 
 
 def test_inspect_price_bounded_inside_int64(capsys, two_path):

@@ -254,6 +254,19 @@ def test_sweeps_match_brute_force_references(seed):
     assert demand.lyapunov_descent(inst, p) == move_list_descent(inst, p)
 
 
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_utilities_after_raise_match_the_shifted_views(seed):
+    rng = random.Random(seed)
+    inst = conftest.random_monotone_instance(rng, max_m=4)
+    p = conftest.random_prices(rng, inst)
+    after = demand.utilities_after_raise(inst.players, p)
+    assert after.shape == (inst.n, 1 << inst.m)
+    for i, v in enumerate(inst.players):
+        for s in range(1 << inst.m):
+            assert after[i, s] == demand.demand_sets(v, add_indicator(p, s)).utility
+
+
 def test_sweep_holds_no_array_larger_than_its_input_or_output():
     # one item with 61 options and eleven with one: swept in item order,
     # the first pass alone would hold 2**11 x 61 entries

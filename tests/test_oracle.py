@@ -242,13 +242,34 @@ def test_grid_sweep_matches_the_grid_scan(seed):
     assert oracle.minimal_walrasian_price(inst, bound) == grid_scan(inst, bound)
 
 
+def all_or_nothing(m, value, players=2):
+    """players who each want only the whole bundle, at value: any prices
+    summing to value clear the market, so no minimal price is least."""
+    whole = model.make_table(m, [0] * ((1 << m) - 1) + [value])
+    return make_instance(list("abcd"[:m]), [whole] * players)
+
+
 def test_minimal_prices_without_a_lattice_minimum():
     # two players who want only the pair: any prices summing to 1 clear it
-    pair = model.make_table(2, (0, 0, 0, 1))
-    inst = make_instance(["x", "y"], [pair, pair])
+    inst = all_or_nothing(2, 1)
     rep = oracle.minimal_walrasian_price(inst)
     assert rep == oracle.MinimalPriceReport((0, 1), False, ((0, 1), (1, 0)))
     assert rep == grid_scan(inst)
+    for m, value, players in ((2, 3, 2), (3, 4, 2), (3, 2, 3)):
+        inst = all_or_nothing(m, value, players)
+        rep = oracle.minimal_walrasian_price(inst)
+        assert rep == grid_scan(inst)
+        assert all(sum(p) == value for p in rep.all_minimal)
+
+
+def test_every_minimal_price_comes_back_without_a_lattice_minimum():
+    # 45**4 grid points, inside the default budget; the minimal prices are
+    # the C(47, 3) ways to split 44 over four items, in lexicographic order
+    rep = oracle.minimal_walrasian_price(all_or_nothing(4, 44))
+    assert len(rep.all_minimal) == 16_215
+    assert list(rep.all_minimal) == sorted(
+        p for p in itertools.product(range(45), repeat=4) if sum(p) == 44)
+    assert rep.price == (0, 0, 0, 44)
 
 
 def test_grid_budget_is_checked_before_the_sweep(monkeypatch):
@@ -341,7 +362,8 @@ def test_envy_free_search_expands_each_state_once():
 def test_invariant_violation_survives_python_O():
     # a max_welfare off by one puts the welfare above the Lyapunov value,
     # which weak duality rules out; under -O an assert would vanish and
-    # the certificate would be returned as if nothing were wrong
+    # the certificate would be returned as if nothing were wrong, and the
+    # grid scan would answer that no equilibrium exists
     code = textwrap.dedent("""
         import dataclasses, sys
         import walras
@@ -355,11 +377,13 @@ def test_invariant_violation_survives_python_O():
             real(inst, budget), welfare=real(inst, budget).welfare + 1)
         inst = make_instance(["x"], [make_unit_demand((5,)),
                                      make_unit_demand((5,))])
-        try:
-            cert = oracle.is_walrasian(inst, (5,))
-        except walras.InvariantViolation:
-            sys.exit(0)
-        sys.exit(f"no InvariantViolation, certificate {cert}")
+        for check in (lambda: oracle.is_walrasian(inst, (5,)),
+                      lambda: oracle.minimal_walrasian_price(inst)):
+            try:
+                got = check()
+            except walras.InvariantViolation:
+                continue
+            sys.exit(f"no InvariantViolation, got {got}")
     """)
     src = str(Path(walras.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-O", "-c", code],

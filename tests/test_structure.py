@@ -1,7 +1,9 @@
 """Structural checkers: GS certification, matroid laws, demand transitions."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +46,64 @@ def test_reference_price_pair_semantics():
     assert 0b011 in d_low
     assert all(not s >> 1 & 1 for s in d_high), \
         "item b must leave every demand set though its price never moved"
+
+
+def c_order_gs_witness(v):
+    """check_gs_on_grid as it scanned before the grid became m-dimensional:
+    a flat grid with the last item moving fastest, so the unit step to item
+    j is a stride of radix**(m-1-j) rows, and (row, j, bundle) the order."""
+    m = v.m
+    doubled = np.asarray(v.table, dtype=np.int64) * 2
+    bound = 2 * v.vmax + 1
+    radix = bound + 1
+    bits, _ = demand._static(m)
+    grid = np.array(list(itertools.product(range(radix), repeat=m)),
+                    dtype=np.int64)
+    util = doubled[None, :] - grid @ bits.T
+    demanded = util == util.max(axis=1)[:, None]
+    reach = demanded.copy()
+    cols = np.arange(1 << m)
+    for j in range(m):
+        reach |= reach[:, cols | (1 << j)]
+    best = None
+    for j in range(m):
+        stride = radix ** (m - 1 - j)
+        rows = np.nonzero(grid[:, j] < bound)[0]
+        viol = demanded[rows] & ~reach[rows + stride][:, cols & ~(1 << j)]
+        hit_rows = np.nonzero(viol.any(axis=1))[0]
+        if hit_rows.size:
+            r = int(hit_rows[0])
+            cand = (int(rows[r]), j, int(np.nonzero(viol[r])[0][0]))
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        return None
+    k, j, s = best
+    p = tuple(int(x) for x in grid[k])
+    kept = s & ~(1 << j)
+    union_high = 0
+    for t in np.nonzero(demanded[k + radix ** (m - 1 - j)])[0]:
+        union_high |= int(t)
+    excluded = kept & ~union_high
+    return structure.GsWitness(
+        price_low=p, price_high=model.add_indicator(p, 1 << j), bundle=s,
+        kept_bundle=kept,
+        violated_item=min(model.iter_items(excluded)) if excluded else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_grid_witness_matches_the_c_order_scan(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    kind = rng.choice(("gs", "mono", "ggs2"))
+    if kind == "gs":
+        v = conftest.random_gs_valuation(rng, m)
+    elif kind == "mono":
+        v = conftest.random_monotone_valuation(rng, m)
+    else:
+        v = conftest.random_ggs2_valuation(rng, max(m, 2), rng.randint(1, 8))
+    assert structure.check_gs_on_grid(v) == c_order_gs_witness(v)
 
 
 def test_witness_verifier_rejects_fabrication():
