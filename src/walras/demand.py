@@ -138,29 +138,22 @@ def _minimal_members(demand: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(accepted))
 
 
-class _PlayerView:
-    """Demand data of one player at fixed prices."""
-
-    __slots__ = ("utility", "demand", "minimal", "overlap")
-
-    def __init__(self, utility: int, demand: tuple[int, ...],
-                 minimal: tuple[int, ...], overlap: np.ndarray):
-        self.utility = utility
-        self.demand = demand
-        self.minimal = minimal
-        self.overlap = overlap      # min |D & S| over D*(p), indexed by S
-
-
 class _MarketView:
-    __slots__ = ("players", "excess")
+    """Demand data of one market at fixed prices, indexed by player."""
 
-    def __init__(self, players, excess):
-        self.players = players
+    __slots__ = ("utility", "demand", "minimal", "overlap", "excess")
+
+    def __init__(self, utility, demand, minimal, overlap, excess):
+        self.utility = utility      # best utility per player
+        self.demand = demand        # demand family per player
+        self.minimal = minimal      # minimal demand family D*(p) per player
+        self.overlap = overlap      # players x 2**m: min |D & S| over D*(p)
         self.excess = excess        # excess demand per bundle mask
 
 
 # The most int64 entries held in the views of one market (16 MB); a view
-# of n players counts as (n + 2) * 2**m, its demand tuples as one array.
+# of n players holds n + 1 arrays of 2**m entries (the overlap rows and the
+# excess) and counts as (n + 2) * 2**m, its demand families as one array.
 # An engine visits each price once, so the views worth keeping are the
 # first ones, which a later engine on the same market walks again from the
 # same start: once the memo is full, each new view replaces the last one
@@ -190,9 +183,9 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
         raise ValueError(f"price vector has {len(prices)} entries, instance has {m}")
     bits, pc = _static(m)
     pcost = bits @ np.asarray(prices, dtype=np.int64)
-    reports = []
-    excess = -pc.copy()
-    for v in players:
+    utility, families, minimals = [], [], []
+    overlap = np.empty((len(players), 1 << m), dtype=np.int64)
+    for i, v in enumerate(players):
         util = v.np_table - pcost
         top = int(util.max())
         demand = tuple(int(s) for s in np.nonzero(util == top)[0])
@@ -201,11 +194,13 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
             raise BudgetExceeded(
                 f"demand overlaps need {len(minimal) << m} entries, "
                 f"budget {DEFAULT_OP_BUDGET}")
-        overlap = pc[np.asarray(minimal, dtype=np.int64)[:, None]
-                     & np.arange(1 << m, dtype=np.int64)[None, :]].min(axis=0)
-        reports.append(_PlayerView(top, demand, minimal, overlap))
-        excess = excess + overlap
-    view = _MarketView(tuple(reports), excess)
+        pc[np.asarray(minimal, dtype=np.int64)[:, None]
+           & np.arange(1 << m, dtype=np.int64)[None, :]].min(axis=0, out=overlap[i])
+        utility.append(top)
+        families.append(demand)
+        minimals.append(minimal)
+    view = _MarketView(tuple(utility), tuple(families), tuple(minimals),
+                       overlap, overlap.sum(axis=0) - pc)
     if (len(views) + 1) * ((len(players) + 2) << m) > MEMO_ENTRIES:
         with suppress(KeyError):    # empty, or emptied by another thread
             views.popitem()
@@ -215,10 +210,6 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
 
 def _market(instance: Instance, prices: Prices) -> _MarketView:
     return _view(instance, instance.players, instance.m, prices)
-
-
-def _player(v: Valuation, prices: Prices) -> _PlayerView:
-    return _view(v, (v,), v.m, prices).players[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,21 +259,19 @@ def utility(v: Valuation, prices: Prices, bundle: int) -> int:
 
 def demand_sets(v: Valuation, prices: Prices, player: int = 0) -> DemandReport:
     """Full and minimal demand families of one valuation, by enumeration."""
-    view = _player(v, prices)
-    return DemandReport(player, view.utility, view.demand, view.minimal)
+    view = _view(v, (v,), v.m, prices)
+    return DemandReport(player, view.utility[0], view.demand[0], view.minimal[0])
 
 
 def demand_reports(instance: Instance, prices: Prices) -> tuple[DemandReport, ...]:
     view = _market(instance, prices)
-    return tuple(
-        DemandReport(i, pl.utility, pl.demand, pl.minimal)
-        for i, pl in enumerate(view.players)
-    )
+    return tuple(DemandReport(i, *row) for i, row in
+                 enumerate(zip(view.utility, view.demand, view.minimal)))
 
 
 def min_demand_overlap(v: Valuation, prices: Prices, bundle: int) -> int:
     """Smallest |D & bundle| over the minimal demand family D*(p)."""
-    return int(_player(v, prices).overlap[bundle])
+    return int(_view(v, (v,), v.m, prices).overlap[0, bundle])
 
 
 def excess_demand(instance: Instance, prices: Prices, bundle: int) -> int:
@@ -302,21 +291,21 @@ def over_demanded_set(instance: Instance, prices: Prices,
     """
     view = _market(instance, prices)
     if players is None:
-        chosen, excess = view.players, view.excess
+        overlap, excess = view.overlap, view.excess
     else:
         _, pc = _static(instance.m)
-        chosen = tuple(view.players[i] for i in players)
-        excess = sum((pl.overlap for pl in chosen), -pc)
+        overlap = view.overlap[list(players)]
+        excess = overlap.sum(axis=0) - pc
     top = int(excess.max())
     if top <= 0:
-        return ObstacleReport(0, 0, (0,) * len(chosen), True)
+        return ObstacleReport(0, 0, (0,) * len(overlap), True)
     cands = [int(s) for s in np.nonzero(excess == top)[0]]
     minimal = _minimal_members(tuple(cands))
     best = min(minimal, key=lex_key)
     return ObstacleReport(
         bundle=best,
         excess=top,
-        per_player=tuple(int(pl.overlap[best]) for pl in chosen),
+        per_player=tuple(int(x) for x in overlap[:, best]),
         unique=len(minimal) == 1,
     )
 
@@ -324,7 +313,7 @@ def over_demanded_set(instance: Instance, prices: Prices,
 def lyapunov(instance: Instance, prices: Prices) -> int:
     """Total maximum utility plus total price."""
     view = _market(instance, prices)
-    return sum(pl.utility for pl in view.players) + sum(prices)
+    return sum(view.utility) + sum(prices)
 
 
 def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[int]:
@@ -344,9 +333,9 @@ def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[i
     """
     view = _market(instance, prices)
     held = []
-    for pl in view.players:
-        c = popcount(pl.demand[0] & raised)
-        if any(popcount(s & raised) != c for s in pl.demand):
+    for demand in view.demand:
+        c = popcount(demand[0] & raised)
+        if any(popcount(s & raised) != c for s in demand):
             return 1
         held.append(c)
     if not any(held):
@@ -354,7 +343,7 @@ def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[i
     _, pc = _static(instance.m)
     meet = pc[np.arange(1 << instance.m, dtype=np.int64) & raised]
     util = _utilities(instance.players, prices)
-    top = np.array([pl.utility for pl in view.players], dtype=np.int64)
+    top = np.array(view.utility, dtype=np.int64)
     over = np.array(held, dtype=np.int64)
     found = []
     for level in range(max(held)):

@@ -282,15 +282,16 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
     the minimizers outside the up-closure of the others are all reported,
     in lexicographic order, and the first is returned. A grid minimum below
     the maximum welfare breaks weak duality and raises InvariantViolation.
+    budget bounds the grid points, the welfare DP and the certificate;
+    unset, each takes its own default, which WALRAS_BUDGET overrides.
     """
     if bound is None:
         bound = instance.vmax
-    if budget is None:
-        budget = env_budget(DEFAULT_GRID_BUDGET)
+    grid_budget = env_budget(DEFAULT_GRID_BUDGET) if budget is None else budget
     caps = _coordinate_bounds(instance, bound)
     radix = tuple(c + 1 for c in caps)
-    if prod(radix) > budget:
-        raise BudgetExceeded(f"price grid has {prod(radix)} points, budget {budget}")
+    if prod(radix) > grid_budget:
+        raise BudgetExceeded(f"price grid has {prod(radix)} points, budget {grid_budget}")
 
     welfare = max_welfare(instance, budget=budget).welfare
     # L at every grid point: the total price plus each player's best utility

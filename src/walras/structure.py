@@ -283,13 +283,16 @@ def check_utility_distance(v: Valuation, prices: Prices, bundle: int) -> Utility
     """Find a demanded set inside bundle plus at most gap extra items.
 
     gap is the utility shortfall of the bundle. On substitutes input the
-    witness always exists; ok reports whether one was found.
+    witness always exists; ok reports whether one was found. Only D*(p) is
+    scanned: the demanded set with fewest extra items and the smallest mask
+    is inclusion-minimal, since a demanded superset has a larger mask and
+    no fewer extra items.
     """
     prices = tuple(prices)
     report = demand.demand_sets(v, prices)
     gap = report.utility - demand.utility(v, prices, bundle)
     best = None
-    for d in report.demand:
+    for d in report.minimal_demand:
         extra = d & ~bundle
         if best is None or popcount(extra) < popcount(best[1]):
             best = (d, extra)
@@ -308,15 +311,15 @@ class MarginalReport:
 def check_decreasing_marginal(instance: Instance, prices: Prices,
                               x: int, y: int) -> MarginalReport:
     """Lyapunov submodularity across two distinct items:
-    L(p+1x) + L(p+1y) >= L(p+1x+1y) + L(p)."""
+    L(p+1x) + L(p+1y) >= L(p+1x+1y) + L(p), all four values from one sweep."""
     if x == y:
         raise ValueError("items must be distinct")
     prices = tuple(prices)
-    bx, by = 1 << x, 1 << y
-    lhs = (demand.lyapunov(instance, add_indicator(prices, bx))
-           + demand.lyapunov(instance, add_indicator(prices, by)))
-    rhs = (demand.lyapunov(instance, add_indicator(prices, bx | by))
-           + demand.lyapunov(instance, prices))
+    after = demand.utilities_after_raise(instance.players, prices).sum(axis=0)
+    # L(p + 1_S) is |S| + sum(p) + the players' best utilities at p + 1_S
+    base, lx, ly, lxy = (popcount(s) + sum(prices) + int(after[s])
+                         for s in (0, 1 << x, 1 << y, 1 << x | 1 << y))
+    lhs, rhs = lx + ly, lxy + base
     return MarginalReport(lhs=lhs, rhs=rhs, ok=lhs >= rhs)
 
 
@@ -328,8 +331,7 @@ class GgsMembershipReport:
 
 
 def is_ggs_member(v: Valuation, k: int, cap: int,
-                  budget: Optional[int] = None,
-                  grid_budget: Optional[int] = None) -> GgsMembershipReport:
+                  budget: Optional[int] = None) -> GgsMembershipReport:
     """Decide membership in the truncation class by completion search.
 
     The valuation must equal cap on every bundle of size k or more and stay
@@ -338,8 +340,8 @@ def is_ggs_member(v: Valuation, k: int, cap: int,
     from size k up. The search enumerates completions in increasing value
     order, pruning by monotonicity, local submodularity and subadditivity,
     and certifies candidates with the grid check. budget bounds the search
-    nodes and grid_budget each grid check; unset, each takes its default,
-    which WALRAS_BUDGET overrides.
+    nodes, unset its default, and each grid check takes the grid default;
+    WALRAS_BUDGET overrides both.
     """
     if budget is None:
         budget = env_budget(DEFAULT_SEARCH_BUDGET)
@@ -388,7 +390,7 @@ def is_ggs_member(v: Valuation, k: int, cap: int,
             if not is_submodular(candidate, m):
                 return None
             probe = Valuation(m=m, table=candidate)
-            if check_gs_on_grid(probe, budget=grid_budget) is None:
+            if check_gs_on_grid(probe) is None:
                 return candidate
             return None
         s = large[i]

@@ -335,6 +335,19 @@ def test_min_walrasian_certifies_under_the_callers_budget(capsys, tmp_path,
     assert json.loads(capsys.readouterr().out) == {"x": 1, "y": 0}
 
 
+def test_min_walrasian_bounds_its_welfare_dp_by_the_dp_budget(monkeypatch):
+    # a 4-point grid inside a grid budget of 10, and a welfare DP of 45
+    # steps: unset, the budget bounds the DP by the DP's own default
+    monkeypatch.delenv("WALRAS_BUDGET", raising=False)
+    monkeypatch.setattr(oracle, "DEFAULT_GRID_BUDGET", 10)
+    inst = make_instance(["x", "y"], [make_unit_demand((1, 1)) for _ in range(5)])
+    rep = oracle.minimal_walrasian_price(inst)
+    assert rep.price == (1, 1) and rep.unique
+    with pytest.raises(oracle.BudgetExceeded,
+                       match="welfare DP needs 45 steps, budget 10"):
+        oracle.minimal_walrasian_price(inst, budget=10)
+
+
 def test_envy_free_search_is_bounded(monkeypatch):
     inst = two_buyers_one_item()
     with pytest.raises(oracle.BudgetExceeded,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walras import demand, model, oracle, structure
-from walras.model import make_additive, make_instance, make_table, \
+from walras.model import add_indicator, make_additive, make_instance, make_table, \
     make_truncation, make_unit_demand
 
 import conftest
@@ -207,6 +207,42 @@ def test_utility_distance_on_gs(seed):
         assert rep.gap >= 0
 
 
+def utility_distance_over_demand(v, prices, bundle):
+    """The reference scan over the whole demand family D(p)."""
+    report = demand.demand_sets(v, prices)
+    gap = report.utility - demand.utility(v, prices, bundle)
+    best = None
+    for d in report.demand:
+        extra = d & ~bundle
+        if best is None or model.popcount(extra) < model.popcount(best[1]):
+            best = (d, extra)
+    if best is not None and model.popcount(best[1]) <= gap:
+        return structure.UtilityDistanceReport(gap, best[0], best[1], True)
+    return structure.UtilityDistanceReport(gap, None, None, False)
+
+
+def mixed_instance(rng):
+    """Gross-substitutes, pair-cap or merely monotone, at random."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return conftest.random_gs_instance(rng, max_m=4)
+    if kind == 1:
+        return conftest.random_ggs2_instance(rng, max_m=4)
+    return conftest.random_monotone_instance(rng, max_m=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_utility_distance_scans_minimal_demand_as_the_full_family(seed):
+    rng = random.Random(seed)
+    inst = mixed_instance(rng)
+    p = conftest.random_prices(rng, inst)
+    for v in inst.players:
+        for s in range(1 << inst.m):
+            assert structure.check_utility_distance(v, p, s) == \
+                utility_distance_over_demand(v, p, s)
+
+
 def test_decreasing_marginal():
     inst = make_instance(["a", "b"], [make_additive((2, 3))])
     rep = structure.check_decreasing_marginal(inst, (0, 0), 0, 1)
@@ -226,6 +262,29 @@ def test_decreasing_marginal_on_gs(seed):
     p = conftest.random_prices(rng, inst, hi=4)
     x, y = rng.sample(range(inst.m), 2)
     assert structure.check_decreasing_marginal(inst, p, x, y).ok
+
+
+def decreasing_marginal_by_views(inst, prices, x, y):
+    """The reference: four Lyapunov values, one market view each."""
+    bx, by = 1 << x, 1 << y
+    lhs = (demand.lyapunov(inst, add_indicator(prices, bx))
+           + demand.lyapunov(inst, add_indicator(prices, by)))
+    rhs = (demand.lyapunov(inst, add_indicator(prices, bx | by))
+           + demand.lyapunov(inst, prices))
+    return structure.MarginalReport(lhs=lhs, rhs=rhs, ok=lhs >= rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_decreasing_marginal_matches_four_lyapunov_values(seed):
+    rng = random.Random(seed)
+    inst = mixed_instance(rng)
+    if inst.m < 2:
+        return
+    p = conftest.random_prices(rng, inst)
+    for x, y in itertools.permutations(range(inst.m), 2):
+        assert structure.check_decreasing_marginal(inst, p, x, y) == \
+            decreasing_marginal_by_views(inst, p, x, y)
 
 
 def test_ggs_membership():
