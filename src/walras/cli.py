@@ -175,16 +175,14 @@ def _check_lemmas(instance: Instance) -> list[dict]:
                         "kind": "utility distance witness missing",
                         "bundle": instance.label_bundle(s),
                     })
-        for x in range(m):
-            for y in range(x + 1, m):
-                rep = structure.check_decreasing_marginal(instance, p, x, y)
-                if not rep.ok:
-                    findings.append({
-                        "price": prices_to_json(p, instance),
-                        "kind": "lyapunov submodularity",
-                        "items": [instance.items[x], instance.items[y]],
-                        "lhs": rep.lhs, "rhs": rep.rhs,
-                    })
+        for (x, y), rep in structure.decreasing_marginal_reports(instance, p).items():
+            if not rep.ok:
+                findings.append({
+                    "price": prices_to_json(p, instance),
+                    "kind": "lyapunov submodularity",
+                    "items": [instance.items[x], instance.items[y]],
+                    "lhs": rep.lhs, "rhs": rep.rhs,
+                })
     return findings
 
 

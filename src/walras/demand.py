@@ -39,6 +39,19 @@ valuation) queried last, compared by identity, so the engines run on one
 market share its views without hashing its tables. A query on another
 market starts the memo afresh; once the views hold MEMO_ENTRIES int64
 entries, each new view replaces the last one added.
+
+Ascending auctions only raise prices, and a new view is built from the one
+the memo returned last whenever no price fell since. Going from b to q >= b
+lowers each bundle T's utility by (q - b) . T and raises none, so the
+bundles that still reach b's top utility at q are exactly the demanded
+bundles that avoid the raised items S = supp(q - b). A player whose
+demanded bundles all avoid S (the union of its demand family, the view's
+reach, is disjoint from S) therefore has the same utility, demand, minimal
+demand and overlap row at q as at b, exactly; only the other rows are
+rebuilt, by the same per-row code and budget checks as a full build, and
+the excess is summed afresh. The fine auction raises one item per step,
+which about a quarter of the players' demand meets on the benchmark's
+deep markets.
 """
 
 from __future__ import annotations
@@ -141,12 +154,13 @@ def _minimal_members(demand: tuple[int, ...]) -> tuple[int, ...]:
 class _MarketView:
     """Demand data of one market at fixed prices, indexed by player."""
 
-    __slots__ = ("utility", "demand", "minimal", "overlap", "excess")
+    __slots__ = ("utility", "demand", "minimal", "reach", "overlap", "excess")
 
-    def __init__(self, utility, demand, minimal, overlap, excess):
+    def __init__(self, utility, demand, minimal, reach, overlap, excess):
         self.utility = utility      # best utility per player
         self.demand = demand        # demand family per player
         self.minimal = minimal      # minimal demand family D*(p) per player
+        self.reach = reach          # union of the demanded bundles per player
         self.overlap = overlap      # players x 2**m: min |D & S| over D*(p)
         self.excess = excess        # excess demand per bundle mask
 
@@ -159,52 +173,79 @@ class _MarketView:
 # same start: once the memo is full, each new view replaces the last one
 # added instead. The benchmark's ladder keeps all but a few dozen of the
 # views it revisits, and deep's runs of up to 6,000 steps hold no more
-# memory than 1,024 views did.
+# memory than 1,024 views did. The memo also names the view it returned
+# last, always one of those it holds, so keeping it costs nothing more: a
+# view at prices at or above its prices copies its rows and rebuilds only
+# those whose demand meets a raised item (see the module docstring).
 MEMO_ENTRIES = 1 << 21
 
-# (owner, views by price) for the market queried last. Swapped as one
-# tuple, so a reader never pairs one market's owner with another's views.
-_memo: tuple[object, dict] = (None, {})
+# (owner, views by price, prices of the view returned last, that view) for
+# the market queried last. Swapped as one tuple, so a reader never pairs
+# one market's owner with another's views.
+_memo: tuple[object, dict, Optional[Prices], Optional[_MarketView]] = (
+    None, {}, None, None)
+
+
+def _row(v: Valuation, pcost: np.ndarray, pc: np.ndarray, overlap: np.ndarray):
+    """One player's best utility, demand family, minimal demand family and
+    the union of its demanded bundles at the prices whose bundle costs are
+    pcost; fills overlap, a row of 2**m entries, with its overlaps."""
+    m = v.m
+    util = v.np_table - pcost
+    top = int(util.max())
+    demand = tuple(np.flatnonzero(util == top).tolist())
+    reach = 0
+    for s in demand:
+        reach |= s
+    minimal = _minimal_members(demand)
+    if len(minimal) << m > DEFAULT_OP_BUDGET:
+        raise BudgetExceeded(
+            f"demand overlaps need {len(minimal) << m} entries, "
+            f"budget {DEFAULT_OP_BUDGET}")
+    pc[np.asarray(minimal, dtype=np.int64)[:, None]
+       & np.arange(1 << m, dtype=np.int64)[None, :]].min(axis=0, out=overlap)
+    return top, demand, minimal, reach
 
 
 def _view(owner, players: tuple[Valuation, ...], m: int,
           prices: Prices) -> _MarketView:
     global _memo
     prices = tuple(prices)
-    held, views = _memo
+    held, views, base_prices, base = _memo
     if held is owner:
         view = views.get(prices)
         if view is not None:
+            _memo = (owner, views, prices, view)
             return view
     else:
-        views = {}
-        _memo = (owner, views)
+        views, base = {}, None
+        _memo = (owner, views, None, None)
     if len(prices) != m:
         raise ValueError(f"price vector has {len(prices)} entries, instance has {m}")
     bits, pc = _static(m)
     pcost = bits @ np.asarray(prices, dtype=np.int64)
-    utility, families, minimals = [], [], []
-    overlap = np.empty((len(players), 1 << m), dtype=np.int64)
-    for i, v in enumerate(players):
-        util = v.np_table - pcost
-        top = int(util.max())
-        demand = tuple(int(s) for s in np.nonzero(util == top)[0])
-        minimal = _minimal_members(demand)
-        if len(minimal) << m > DEFAULT_OP_BUDGET:
-            raise BudgetExceeded(
-                f"demand overlaps need {len(minimal) << m} entries, "
-                f"budget {DEFAULT_OP_BUDGET}")
-        pc[np.asarray(minimal, dtype=np.int64)[:, None]
-           & np.arange(1 << m, dtype=np.int64)[None, :]].min(axis=0, out=overlap[i])
-        utility.append(top)
-        families.append(demand)
-        minimals.append(minimal)
+    n = len(players)
+    if base is not None and all(q >= b for q, b in zip(prices, base_prices)):
+        # rows whose demand avoids every raised item are the base's
+        rose = sum(1 << j for j, (q, b) in enumerate(zip(prices, base_prices)) if q > b)
+        stale = [i for i, r in enumerate(base.reach) if r & rose]
+        utility, families, minimals, reach = (
+            list(x) for x in (base.utility, base.demand, base.minimal, base.reach))
+        overlap = base.overlap.copy()
+    else:
+        stale = range(n)
+        utility, families, minimals, reach = ([None] * n for _ in range(4))
+        overlap = np.empty((n, 1 << m), dtype=np.int64)
+    for i in stale:
+        utility[i], families[i], minimals[i], reach[i] = _row(
+            players[i], pcost, pc, overlap[i])
     view = _MarketView(tuple(utility), tuple(families), tuple(minimals),
-                       overlap, overlap.sum(axis=0) - pc)
-    if (len(views) + 1) * ((len(players) + 2) << m) > MEMO_ENTRIES:
+                       tuple(reach), overlap, overlap.sum(axis=0) - pc)
+    if (len(views) + 1) * ((n + 2) << m) > MEMO_ENTRIES:
         with suppress(KeyError):    # empty, or emptied by another thread
             views.popitem()
     views[prices] = view
+    _memo = (owner, views, prices, view)
     return view
 
 
@@ -372,6 +413,14 @@ def utilities_after_raise(players: Sequence[Valuation], prices: Prices) -> np.nd
     return _raise_sweep(_utilities(players, prices), [(0, -1)] * len(prices))
 
 
+def lyapunov_after_raise(instance: Instance, prices: Prices) -> np.ndarray:
+    """L(p + 1_S) for every bundle S, by one sweep: |S| + sum(p) plus the
+    players' best utilities at p + 1_S."""
+    prices = tuple(prices)
+    _, pc = _static(instance.m)
+    return pc + sum(prices) + utilities_after_raise(instance.players, prices).sum(axis=0)
+
+
 def minimal_minimizer_report(instance: Instance, prices: Prices) -> MinimizerReport:
     """Smallest bundle whose unit raise minimizes the Lyapunov function.
 
@@ -379,10 +428,7 @@ def minimal_minimizer_report(instance: Instance, prices: Prices) -> MinimizerRep
     item order; the unique flag records whether the lexicographic tie-break
     fired. On gross-substitutes input the minimizer is provably unique.
     """
-    prices = tuple(prices)
-    _, pc = _static(instance.m)
-    raised = utilities_after_raise(instance.players, prices).sum(axis=0)
-    after = pc + sum(prices) + raised       # L(p + 1_S) for every bundle S
+    after = lyapunov_after_raise(instance, prices)
     low = int(after.min())
     cands = [int(s) for s in np.nonzero(after == low)[0]]
     size = min(popcount(s) for s in cands)

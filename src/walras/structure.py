@@ -308,19 +308,26 @@ class MarginalReport:
     ok: bool
 
 
+def decreasing_marginal_reports(instance: Instance, prices: Prices
+                                ) -> dict[tuple[int, int], MarginalReport]:
+    """Lyapunov submodularity across every pair of items x < y:
+    L(p+1x) + L(p+1y) >= L(p+1x+1y) + L(p), all values from one sweep."""
+    after = demand.lyapunov_after_raise(instance, prices)
+    reports = {}
+    for x in range(instance.m):
+        for y in range(x + 1, instance.m):
+            lhs = int(after[1 << x]) + int(after[1 << y])
+            rhs = int(after[1 << x | 1 << y]) + int(after[0])
+            reports[x, y] = MarginalReport(lhs=lhs, rhs=rhs, ok=lhs >= rhs)
+    return reports
+
+
 def check_decreasing_marginal(instance: Instance, prices: Prices,
                               x: int, y: int) -> MarginalReport:
-    """Lyapunov submodularity across two distinct items:
-    L(p+1x) + L(p+1y) >= L(p+1x+1y) + L(p), all four values from one sweep."""
+    """Lyapunov submodularity across two distinct items, symmetric in them."""
     if x == y:
         raise ValueError("items must be distinct")
-    prices = tuple(prices)
-    after = demand.utilities_after_raise(instance.players, prices).sum(axis=0)
-    # L(p + 1_S) is |S| + sum(p) + the players' best utilities at p + 1_S
-    base, lx, ly, lxy = (popcount(s) + sum(prices) + int(after[s])
-                         for s in (0, 1 << x, 1 << y, 1 << x | 1 << y))
-    lhs, rhs = lx + ly, lxy + base
-    return MarginalReport(lhs=lhs, rhs=rhs, ok=lhs >= rhs)
+    return decreasing_marginal_reports(instance, prices)[min(x, y), max(x, y)]
 
 
 @dataclass(frozen=True)

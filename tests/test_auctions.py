@@ -289,6 +289,31 @@ def test_long_steps_build_few_views(monkeypatch):
     assert trace == unit_step_gs(inst)
 
 
+def test_fine_rebuilds_only_the_rows_its_raise_meets(monkeypatch):
+    # fine raises one item per step, and a view built from the one before
+    # rebuilds only the players whose demand meets that item
+    rng = random.Random(2016)
+    inst = make_instance([f"i{j}" for j in range(6)], [
+        make_unit_demand([rng.randint(512, 1024) for _ in range(6)])
+        for _ in range(9)])
+    built, rows = set(), []
+    view, row = demand._view, demand._row
+
+    def counting_views(owner, players, m, prices):
+        built.add((id(owner), tuple(prices)))
+        return view(owner, players, m, prices)
+
+    def counting_rows(v, *args):
+        rows.append(v)
+        return row(v, *args)
+
+    monkeypatch.setattr(demand, "_view", counting_views)
+    monkeypatch.setattr(demand, "_row", counting_rows)
+    trace = auctions.fine_auction(inst)
+    assert trace.terminated and len(trace.steps) > 1000
+    assert len(rows) < inst.n * len(built) / 3
+
+
 def test_unit_step_engines_never_take_long_steps(monkeypatch):
     def refuse(*args):
         raise AssertionError("stable_raises called")

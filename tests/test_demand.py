@@ -389,3 +389,67 @@ def test_single_valuation_matches_one_player_instance(seed):
         for s in range(1 << inst.m):
             assert demand.min_demand_overlap(v, p, s) == \
                 demand.excess_demand(one, p, s) + popcount(s)
+
+
+KINDS = ("gs", "paircap", "monotone", "nonmonotone")
+
+
+def market_of(rng, kind, m, n):
+    if kind == "gs":
+        players = [conftest.random_gs_valuation(rng, m) for _ in range(n)]
+    elif kind == "paircap":
+        cap = rng.randint(1, conftest.VMAX)
+        players = [conftest.random_ggs2_valuation(rng, m, cap) for _ in range(n)]
+    elif kind == "monotone":
+        players = [conftest.random_monotone_valuation(rng, m) for _ in range(n)]
+    else:
+        players = [model.make_table(m, [rng.randint(-4, conftest.VMAX)
+                                        for _ in range(1 << m)]) for _ in range(n)]
+    return make_instance([f"i{j}" for j in range(m)], players)
+
+
+def fields(view):
+    return (view.utility, view.demand, view.minimal, view.reach,
+            view.overlap.tolist(), view.excess.tolist())
+
+
+def fresh_view(inst, prices):
+    demand._memo = (None, {}, None, None)
+    return demand._market(inst, prices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.sampled_from(KINDS),
+       st.sampled_from(("one", "several", "zero-priced", "none", "fall", "owner")))
+def test_view_built_from_a_lower_one_matches_a_fresh_build(seed, kind, move):
+    rng = random.Random(seed)
+    m, n = rng.randint(2, 5), rng.randint(1, 4)
+    inst = market_of(rng, kind, m, n)
+    p = list(conftest.random_prices(rng, inst, hi=conftest.VMAX + 1))
+    d = [0] * m
+    items = rng.sample(range(m), rng.randint(1, m))
+    if move == "one":
+        d[items[0]] = rng.randint(1, 3)
+    elif move in ("several", "owner"):
+        for j in items:
+            d[j] = rng.randint(1, 3)
+    elif move == "zero-priced":
+        for j in items:
+            p[j], d[j] = 0, rng.randint(1, 2)
+    elif move == "fall":
+        # some price falls, so q is not at or above p
+        for j in range(m):
+            d[j] = rng.randint(-min(2, p[j]), 2)
+        d[items[0]] = -rng.randint(1, 2)
+        p[items[0]] += 2
+    q = tuple(a + b for a, b in zip(p, d))
+    want = fields(fresh_view(inst, q))
+    if move == "owner":
+        # the view returned last is another market's, at prices below q
+        base = fresh_view(market_of(rng, kind, m, n), p)
+    else:
+        base = fresh_view(inst, p)
+    got = demand._market(inst, q)
+    assert fields(got) == want
+    assert (got is base) == (move == "none")
+    assert demand._memo[0] is inst and demand._memo[3] is got
