@@ -6,13 +6,16 @@ inspect demand at a price. Results are JSON on stdout (optionally copied
 to --out); diagnostics go to stderr.
 
 Exit codes: 0 success (run: certified termination; check: all clean),
-1 input error, exceeded budget or failed check, 2 iteration cap hit.
+1 input error, exceeded budget, failed check or output that cannot be
+written, 2 iteration cap hit. A reader that closes stdout early ends the
+command with 1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -38,12 +41,30 @@ def _load_instance(path: str) -> Instance:
         return instance_from_json(fh.read())
 
 
+def _print(text: str) -> None:
+    """Print text to stdout; exit 1 if it cannot be written."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # stdout now points at devnull, so the flush at exit cannot fail
+        # again on what is left in its buffer; a reader that closed the pipe
+        # early wants nothing more, not even an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            _fail(f"cannot write output: {exc}")
+        raise SystemExit(1) from None
+
+
 def _emit(payload: dict, out: Optional[str]) -> None:
+    """Print payload as JSON and copy it to out; exit 1 if a write fails."""
     text = json.dumps(payload, indent=2, sort_keys=False)
-    print(text)
+    _print(text)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SystemExit(_fail(f"cannot write {out}: {exc}")) from None
 
 
 def cmd_run(args) -> int:
@@ -312,7 +333,7 @@ def cmd_oracle(args) -> int:
                 else [instance.label_bundle(b) for b in alloc])}, args.out)
             return 0
     except BudgetExceeded as exc:
-        print(json.dumps({"error": "budget exceeded", "detail": str(exc)}))
+        _print(json.dumps({"error": "budget exceeded", "detail": str(exc)}))
         return 1
     except ModelError as exc:
         return _fail(str(exc))

@@ -33,6 +33,12 @@ vector's reshape(radix, order="F") is an array whose axis j is item j.
 A view's two super-linear steps, the minimal filter (|D| * |D*|
 comparisons) and the overlap gather (|D*| * 2**m entries), raise
 BudgetExceeded past DEFAULT_OP_BUDGET, which WALRAS_BUDGET does not move.
+The filter reads a family in mask order, where every bundle comes after
+its subsets: up to SCAN_MEMBERS members it is a Python scan, and above
+that one numpy peel per minimal member (take the first bundle left, drop
+its supersets), so the families of 2**(m-1) bundles and more that
+unit-demand and OXS players demand near zero prices, with at most a
+handful of minimal members, cost no Python per member.
 The per-price views behind these reports are memoized for one market at a
 time: the instance (or, for demand_sets and min_demand_overlap, the
 valuation) queried last, compared by identity, so the engines run on one
@@ -135,20 +141,50 @@ def _raise_sweep(util: np.ndarray, options) -> np.ndarray:
     return acc
 
 
-def _minimal_members(demand: tuple[int, ...]) -> tuple[int, ...]:
-    """Inclusion-minimal members of a family of masks, in at most
-    |family| * |minimal| comparisons, bounded by the default op budget."""
-    by_size = sorted(demand, key=lambda s: (popcount(s), s))
+# Families up to this many members are filtered by a Python scan, larger
+# ones (a unit-demand player near zero prices demands 2**(m-1) or more) by a
+# numpy peel, which costs a few microseconds a pass but no Python per member.
+SCAN_MEMBERS = 128
+
+
+def _filter_over_budget(size: int, accepted: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"minimal filter of {size} bundles needs up to {size * accepted} "
+        f"comparisons, budget {DEFAULT_OP_BUDGET}")
+
+
+def _minimal_members(family: np.ndarray) -> tuple[int, ...]:
+    """Inclusion-minimal members, in increasing order, of a family of masks
+    given as an int64 array in increasing order.
+
+    A proper subset of a mask is a smaller number, so every member comes
+    after all of its subsets in the family: a member is minimal exactly when
+    it contains none of the minimal members before it. A small family is
+    scanned that way. A large one is peeled, one numpy pass per minimal
+    member: the first member left is minimal, and the pass drops it with
+    all its supersets. Each accepted member costs at most |family|
+    comparisons, and the running count is held to the default op budget.
+    """
+    size = len(family)
     accepted: list[int] = []
-    for cand in by_size:
-        if not any(low & cand == low for low in accepted):
+    if size <= SCAN_MEMBERS:
+        for cand in family.tolist():
+            for low in accepted:
+                if low & cand == low:
+                    break
+            else:
+                accepted.append(cand)
+                if size * len(accepted) > DEFAULT_OP_BUDGET:
+                    raise _filter_over_budget(size, len(accepted))
+    else:
+        rest = family
+        while rest.size:
+            cand = int(rest[0])
             accepted.append(cand)
-            if len(by_size) * len(accepted) > DEFAULT_OP_BUDGET:
-                raise BudgetExceeded(
-                    f"minimal filter of {len(by_size)} bundles needs up to "
-                    f"{len(by_size) * len(accepted)} comparisons, "
-                    f"budget {DEFAULT_OP_BUDGET}")
-    return tuple(sorted(accepted))
+            if size * len(accepted) > DEFAULT_OP_BUDGET:
+                raise _filter_over_budget(size, len(accepted))
+            rest = rest[(rest & cand) != cand]
+    return tuple(accepted)
 
 
 class _MarketView:
@@ -193,11 +229,10 @@ def _row(v: Valuation, pcost: np.ndarray, pc: np.ndarray, overlap: np.ndarray):
     m = v.m
     util = v.np_table - pcost
     top = int(util.max())
-    demand = tuple(np.flatnonzero(util == top).tolist())
-    reach = 0
-    for s in demand:
-        reach |= s
-    minimal = _minimal_members(demand)
+    hit = (util == top).nonzero()[0]
+    demand = tuple(hit.tolist())
+    reach = int(np.bitwise_or.reduce(hit))
+    minimal = _minimal_members(hit)
     if len(minimal) << m > DEFAULT_OP_BUDGET:
         raise BudgetExceeded(
             f"demand overlaps need {len(minimal) << m} entries, "
@@ -340,8 +375,7 @@ def over_demanded_set(instance: Instance, prices: Prices,
     top = int(excess.max())
     if top <= 0:
         return ObstacleReport(0, 0, (0,) * len(overlap), True)
-    cands = [int(s) for s in np.nonzero(excess == top)[0]]
-    minimal = _minimal_members(tuple(cands))
+    minimal = _minimal_members((excess == top).nonzero()[0])
     best = min(minimal, key=lex_key)
     return ObstacleReport(
         bundle=best,

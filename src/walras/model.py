@@ -282,15 +282,6 @@ def dominated(p: Prices, q: Prices) -> bool:
 Allocation = tuple[int, ...]
 
 
-def allocation_disjoint(alloc: Allocation) -> bool:
-    used = 0
-    for bundle in alloc:
-        if used & bundle:
-            return False
-        used |= bundle
-    return True
-
-
 @dataclass(frozen=True)
 class Instance:
     """A market: item labels plus one valuation per player."""

@@ -70,6 +70,47 @@ def test_run_writes_out_file(capsys, two_path, tmp_path):
     assert json.loads(out.read_text()) == payload
 
 
+def walras_process(argv, stdout):
+    """Run the CLI in its own interpreter, stdout going to the given file."""
+    src = str(Path(walras.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "walras.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def test_closed_stdout_ends_the_command_quietly(two_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = walras_process(["run", "--instance", two_path, "--algorithm", "gs"],
+                             write_end)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1
+    assert out.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_one_error_line(two_path):
+    with open("/dev/full", "w") as full:
+        out = walras_process(["run", "--instance", two_path, "--algorithm", "gs"],
+                             full)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: cannot write output: [Errno 28]")
+    assert len(out.stderr.splitlines()) == 1
+
+
+def test_unwritable_out_file_is_an_error(capsys, tmp_path, two_path):
+    missing = tmp_path / "no-such-dir" / "trace.json"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--instance", two_path, "--algorithm", "gs",
+                  "--out", str(missing)])
+    assert exit_.value.code == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["trace"]["final_price"] == {"x": 5}
+    assert captured.err.startswith(f"error: cannot write {missing}: ")
+
+
 def test_run_bad_inputs(capsys, tmp_path, two_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -11,6 +11,7 @@ import threading
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from walras import demand, model, oracle
@@ -453,3 +454,73 @@ def test_view_built_from_a_lower_one_matches_a_fresh_build(seed, kind, move):
     assert fields(got) == want
     assert (got is base) == (move == "none")
     assert demand._memo[0] is inst and demand._memo[3] is got
+
+
+def minimal_members_reference(family):
+    """The minimal filter as it was before the numpy peel: a sort by
+    (popcount, mask), then a scan of every candidate against those kept."""
+    by_size = sorted(family, key=lambda s: (popcount(s), s))
+    accepted = []
+    for cand in by_size:
+        if not any(low & cand == low for low in accepted):
+            accepted.append(cand)
+            if len(by_size) * len(accepted) > demand.DEFAULT_OP_BUDGET:
+                raise model.BudgetExceeded(
+                    f"minimal filter of {len(by_size)} bundles needs up to "
+                    f"{len(by_size) * len(accepted)} comparisons, "
+                    f"budget {demand.DEFAULT_OP_BUDGET}")
+    return tuple(sorted(accepted))
+
+
+def minimal_members(family):
+    return demand._minimal_members(np.array(family, dtype=np.int64))
+
+
+SCAN = demand.SCAN_MEMBERS
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.integers(1, 14),
+       st.sampled_from((1, 2, 3, 10, SCAN - 1, SCAN, SCAN + 1, 2 * SCAN, 1000)))
+def test_minimal_filter_matches_the_reference_on_random_families(seed, m, size):
+    rng = random.Random(seed)
+    family = sorted(rng.sample(range(1 << m), min(size, 1 << m)))
+    assert minimal_members(family) == minimal_members_reference(family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.integers(1, 14), st.integers(1, 4))
+def test_minimal_filter_matches_the_reference_on_up_closed_families(seed, m, k):
+    # every bundle containing one of k generators, as a unit-demand or
+    # OXS player demands near zero prices: a family of up to 2**m members
+    # above the switch, or a few below it, with at most k minimal ones
+    rng = random.Random(seed)
+    gens = [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(k)]
+    family = [s for s in range(1 << m) if any(g & s == g for g in gens)]
+    got = minimal_members(family)
+    assert got == minimal_members_reference(family)
+    assert len(got) <= k
+
+
+@pytest.mark.parametrize("regime, m, family, budget, message", [
+    # masks 1..100 have the seven singletons as minimal members, and the
+    # fourth one accepted needs 400 comparisons
+    ("scan", 7, range(1, 101), 350,
+     "minimal filter of 100 bundles needs up to 400 comparisons, budget 350"),
+    # masks 1..1023 have ten singletons, and the fifth needs 5,115
+    ("peel", 10, range(1, 1024), 5000,
+     "minimal filter of 1023 bundles needs up to 5115 comparisons, budget 5000"),
+])
+def test_minimal_filter_stops_at_the_budget(monkeypatch, regime, m, family,
+                                            budget, message):
+    family = list(family)
+    assert (len(family) <= SCAN) == (regime == "scan")
+    monkeypatch.setattr(demand, "DEFAULT_OP_BUDGET", budget)
+    for run in (lambda: minimal_members(family),
+                lambda: minimal_members_reference(family)):
+        with pytest.raises(model.BudgetExceeded) as exc:
+            run()
+        assert str(exc.value) == message
+    # at exactly |family| * |D*| comparisons the whole filter fits
+    monkeypatch.setattr(demand, "DEFAULT_OP_BUDGET", len(family) * m)
+    assert minimal_members(family) == tuple(1 << j for j in range(m))

@@ -26,6 +26,15 @@ def two_buyers_one_item():
     return make_instance(["x"], [make_unit_demand((5,)), make_unit_demand((5,))])
 
 
+def allocation_disjoint(alloc):
+    used = 0
+    for bundle in alloc:
+        if used & bundle:
+            return False
+        used |= bundle
+    return True
+
+
 def brute_welfare(inst):
     best = 0
     for owners in itertools.product(range(inst.n + 1), repeat=inst.m):
@@ -52,7 +61,7 @@ def test_welfare_matches_assignment_enumeration():
             inst = conftest.random_monotone_instance(rng, max_m=4, max_n=3)
         res = oracle.max_welfare(inst)
         assert res.welfare == brute_welfare(inst)
-        assert model.allocation_disjoint(res.allocation)
+        assert allocation_disjoint(res.allocation)
         assert sum(v.table[b] for v, b in zip(inst.players, res.allocation)) \
             == res.welfare
 
