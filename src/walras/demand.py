@@ -31,8 +31,9 @@ and, for oracle.minimal_walrasian_price, at every point of a price grid
 that sweep leaves, item 0 fastest, and only this module knows it: a grid
 vector's reshape(radix, order="F") is an array whose axis j is item j.
 A view's two super-linear steps, the minimal filter (|D| * |D*|
-comparisons) and the overlap gather (|D*| * 2**m entries), raise
-BudgetExceeded past DEFAULT_OP_BUDGET, which WALRAS_BUDGET does not move.
+comparisons) and the overlap row (one popcount pass of 2**m entries per
+member of D*), raise BudgetExceeded past DEFAULT_OP_BUDGET, which
+WALRAS_BUDGET does not move.
 The filter reads a family in mask order, where every bundle comes after
 its subsets: up to SCAN_MEMBERS members it is a Python scan, and above
 that one numpy peel per minimal member (take the first bundle left, drop
@@ -43,21 +44,35 @@ The per-price views behind these reports are memoized for one market at a
 time: the instance (or, for demand_sets and min_demand_overlap, the
 valuation) queried last, compared by identity, so the engines run on one
 market share its views without hashing its tables. A query on another
-market starts the memo afresh; once the views hold MEMO_ENTRIES int64
-entries, each new view replaces the last one added.
+market starts the memo afresh; once the views count MEMO_ENTRIES int64
+entries (more than they hold), each new view replaces the last one added.
 
 Ascending auctions only raise prices, and a new view is built from the one
 the memo returned last whenever no price fell since. Going from b to q >= b
-lowers each bundle T's utility by (q - b) . T and raises none, so the
-bundles that still reach b's top utility at q are exactly the demanded
+lowers each bundle T's utility by cost(T) = (q - b) . T and raises none, so
+the bundles that still reach b's top utility at q are exactly the demanded
 bundles that avoid the raised items S = supp(q - b). A player whose
 demanded bundles all avoid S (the union of its demand family, the view's
-reach, is disjoint from S) therefore has the same utility, demand, minimal
-demand and overlap row at q as at b, exactly; only the other rows are
-rebuilt, by the same per-row code and budget checks as a full build, and
-the excess is summed afresh. The fine auction raises one item per step,
-which about a quarter of the players' demand meets on the benchmark's
-deep markets.
+reach, is disjoint from S) therefore keeps its row at q exactly.
+
+The other rows are shifted when they can be. Each row also holds below, an
+upper bound on the utility of every bundle outside the demand family D
+(exact when the row was scanned from the value table). Let low be the least
+cost over D; every member of D contains one of D* that costs no more, so
+low is also the least cost over D*. If top - low > below, no undemanded
+bundle can reach top - low at q, while the members of D that cost low do:
+so at q the top utility is top - low, the demand family is those members,
+and D* is the members of D* that cost low, with no filter (a demanded
+bundle of cost low contains a minimal one of cost at most low, hence low).
+The members of D that cost more leave it, and below rises to the best of
+their new utilities. A row whose demand family has more than SCAN_MEMBERS
+bundles, or that fails the test, is scanned from its value table again, by
+the same code and budget checks as a full build. The overlap rows are
+read-only uint8 arrays shared between views: a shifted row recomputes its
+overlaps only when D* lost a member, and the excess is the base's plus the
+change in the rows that did. On the benchmark's deep markets the fine
+auction's raise meets about a quarter of the players' demand, and about
+three in ten of those rows are scanned again.
 """
 
 from __future__ import annotations
@@ -190,20 +205,24 @@ def _minimal_members(family: np.ndarray) -> tuple[int, ...]:
 class _MarketView:
     """Demand data of one market at fixed prices, indexed by player."""
 
-    __slots__ = ("utility", "demand", "minimal", "reach", "overlap", "excess")
+    __slots__ = ("utility", "demand", "minimal", "reach", "below", "overlap",
+                 "excess")
 
-    def __init__(self, utility, demand, minimal, reach, overlap, excess):
+    def __init__(self, utility, demand, minimal, reach, below, overlap, excess):
         self.utility = utility      # best utility per player
         self.demand = demand        # demand family per player
         self.minimal = minimal      # minimal demand family D*(p) per player
         self.reach = reach          # union of the demanded bundles per player
-        self.overlap = overlap      # players x 2**m: min |D & S| over D*(p)
+        self.below = below          # per player, at least every undemanded utility
+        self.overlap = overlap      # per player, a uint8 row: min |D & S| over D*(p)
         self.excess = excess        # excess demand per bundle mask
 
 
 # The most int64 entries held in the views of one market (16 MB); a view
-# of n players holds n + 1 arrays of 2**m entries (the overlap rows and the
-# excess) and counts as (n + 2) * 2**m, its demand families as one array.
+# of n players counts as (n + 2) * 2**m entries: n overlap rows, the excess
+# and its demand families as one array. That is an upper bound, since the
+# overlap rows are uint8 and a view shares those of the players its prices
+# left alone with the view it was built from.
 # An engine visits each price once, so the views worth keeping are the
 # first ones, which a later engine on the same market walks again from the
 # same start: once the memo is full, each new view replaces the last one
@@ -211,7 +230,7 @@ class _MarketView:
 # views it revisits, and deep's runs of up to 6,000 steps hold no more
 # memory than 1,024 views did. The memo also names the view it returned
 # last, always one of those it holds, so keeping it costs nothing more: a
-# view at prices at or above its prices copies its rows and rebuilds only
+# view at prices at or above its prices keeps its rows and redoes only
 # those whose demand meets a raised item (see the module docstring).
 MEMO_ENTRIES = 1 << 21
 
@@ -221,25 +240,82 @@ MEMO_ENTRIES = 1 << 21
 _memo: tuple[object, dict, Optional[Prices], Optional[_MarketView]] = (
     None, {}, None, None)
 
+# below when every bundle is demanded
+_NO_BUNDLE = int(np.iinfo(np.int64).min)
 
-def _row(v: Valuation, pcost: np.ndarray, pc: np.ndarray, overlap: np.ndarray):
-    """One player's best utility, demand family, minimal demand family and
-    the union of its demanded bundles at the prices whose bundle costs are
-    pcost; fills overlap, a row of 2**m entries, with its overlaps."""
-    m = v.m
-    util = v.np_table - pcost
-    top = int(util.max())
-    hit = (util == top).nonzero()[0]
-    demand = tuple(hit.tolist())
-    reach = int(np.bitwise_or.reduce(hit))
-    minimal = _minimal_members(hit)
+
+@lru_cache(maxsize=32)
+def _masks(m: int) -> np.ndarray:
+    """Every bundle mask of m items, in order, read-only."""
+    masks = np.arange(1 << m, dtype=np.int64)
+    masks.setflags(write=False)
+    return masks
+
+
+def _overlap_row(minimal: tuple[int, ...], m: int) -> np.ndarray:
+    """min |D & S| over D in minimal, for every bundle S, as a read-only
+    uint8 row that views may share."""
     if len(minimal) << m > DEFAULT_OP_BUDGET:
         raise BudgetExceeded(
             f"demand overlaps need {len(minimal) << m} entries, "
             f"budget {DEFAULT_OP_BUDGET}")
-    pc[np.asarray(minimal, dtype=np.int64)[:, None]
-       & np.arange(1 << m, dtype=np.int64)[None, :]].min(axis=0, out=overlap)
-    return top, demand, minimal, reach
+    masks = _masks(m)
+    row = np.bitwise_count(masks & minimal[0])
+    for low in minimal[1:]:
+        np.minimum(row, np.bitwise_count(masks & low), out=row)
+    row.setflags(write=False)
+    return row
+
+
+def _row(v: Valuation, pcost: np.ndarray):
+    """One player's view row at the prices whose bundle costs are pcost:
+    best utility, demand family, minimal demand family, the union of its
+    demanded bundles, the best utility of an undemanded bundle and the
+    overlap row."""
+    util = v.np_table - pcost
+    top = int(util.max())
+    hit = (util == top).nonzero()[0]
+    minimal = _minimal_members(hit)
+    util[hit] = _NO_BUNDLE
+    below = int(util.max())
+    return (top, tuple(hit.tolist()), minimal, int(np.bitwise_or.reduce(hit)),
+            below, _overlap_row(minimal, v.m))
+
+
+def _rise_costs(bundles, rise: tuple[tuple[int, int], ...]) -> list[int]:
+    """How much more each bundle costs after a price rise given as (items,
+    amount) pairs, one per amount: amount * |T & items| summed over pairs."""
+    costs = [0] * len(bundles)
+    for items, d in rise:
+        costs = [c + d * (t & items).bit_count() for c, t in zip(costs, bundles)]
+    return costs
+
+
+def _shift(row, rise: tuple[tuple[int, int], ...], m: int):
+    """The row after a price rise from the row before it, or None when an
+    undemanded bundle may catch up or the family is too large to walk in
+    Python (see the module docstring)."""
+    top, family, minimal, _, below, overlap = row
+    if len(family) > SCAN_MEMBERS:
+        return None
+    costs = _rise_costs(family, rise)
+    low = min(costs)
+    if top - low <= below:
+        return None
+    if costs.count(low) == len(costs):
+        return top - low, family, minimal, row[3], below, overlap
+    kept, reach = [], 0
+    for t, c in zip(family, costs):
+        if c == low:
+            kept.append(t)
+            reach |= t
+        else:
+            below = max(below, top - c)
+    kept_minimal = tuple(t for t, c in zip(minimal, _rise_costs(minimal, rise))
+                         if c == low)
+    if kept_minimal != minimal:
+        overlap = _overlap_row(kept_minimal, m)
+    return top - low, tuple(kept), kept_minimal, reach, below, overlap
 
 
 def _view(owner, players: tuple[Valuation, ...], m: int,
@@ -257,25 +333,44 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
         _memo = (owner, views, None, None)
     if len(prices) != m:
         raise ValueError(f"price vector has {len(prices)} entries, instance has {m}")
-    bits, pc = _static(m)
-    pcost = bits @ np.asarray(prices, dtype=np.int64)
     n = len(players)
-    if base is not None and all(q >= b for q, b in zip(prices, base_prices)):
+    shifting = base is not None and all(q >= b for q, b in zip(prices, base_prices))
+    if shifting:
         # rows whose demand avoids every raised item are the base's
-        rose = sum(1 << j for j, (q, b) in enumerate(zip(prices, base_prices)) if q > b)
+        by_amount: dict[int, int] = {}
+        for j, (q, b) in enumerate(zip(prices, base_prices)):
+            if q > b:
+                by_amount[q - b] = by_amount.get(q - b, 0) | 1 << j
+        rise = tuple((items, d) for d, items in by_amount.items())
+        rose = sum(by_amount.values())
+        rows = list(zip(base.utility, base.demand, base.minimal, base.reach,
+                        base.below, base.overlap))
         stale = [i for i, r in enumerate(base.reach) if r & rose]
-        utility, families, minimals, reach = (
-            list(x) for x in (base.utility, base.demand, base.minimal, base.reach))
-        overlap = base.overlap.copy()
     else:
-        stale = range(n)
-        utility, families, minimals, reach = ([None] * n for _ in range(4))
-        overlap = np.empty((n, 1 << m), dtype=np.int64)
+        rows, stale = [None] * n, range(n)
+    pcost = None
     for i in stale:
-        utility[i], families[i], minimals[i], reach[i] = _row(
-            players[i], pcost, pc, overlap[i])
-    view = _MarketView(tuple(utility), tuple(families), tuple(minimals),
-                       tuple(reach), overlap, overlap.sum(axis=0) - pc)
+        row = _shift(rows[i], rise, m) if shifting else None
+        if row is None:
+            if pcost is None:
+                pcost = _static(m)[0] @ np.asarray(prices, dtype=np.int64)
+            row = _row(players[i], pcost)
+        rows[i] = row
+    utility, families, minimals, reach, below, overlap = zip(*rows)
+    if shifting:
+        excess = base.excess
+        changed = [i for i in stale if overlap[i] is not base.overlap[i]]
+        if changed:
+            excess = excess.copy()
+            for i in changed:
+                excess += overlap[i]
+                excess -= base.overlap[i]
+    else:
+        excess = overlap[0] - _static(m)[1]
+        for row in overlap[1:]:
+            excess += row
+    excess.setflags(write=False)
+    view = _MarketView(utility, families, minimals, reach, below, overlap, excess)
     if (len(views) + 1) * ((n + 2) << m) > MEMO_ENTRIES:
         with suppress(KeyError):    # empty, or emptied by another thread
             views.popitem()
@@ -347,7 +442,7 @@ def demand_reports(instance: Instance, prices: Prices) -> tuple[DemandReport, ..
 
 def min_demand_overlap(v: Valuation, prices: Prices, bundle: int) -> int:
     """Smallest |D & bundle| over the minimal demand family D*(p)."""
-    return int(_view(v, (v,), v.m, prices).overlap[0, bundle])
+    return int(_view(v, (v,), v.m, prices).overlap[0][bundle])
 
 
 def excess_demand(instance: Instance, prices: Prices, bundle: int) -> int:
@@ -370,8 +465,8 @@ def over_demanded_set(instance: Instance, prices: Prices,
         overlap, excess = view.overlap, view.excess
     else:
         _, pc = _static(instance.m)
-        overlap = view.overlap[list(players)]
-        excess = overlap.sum(axis=0) - pc
+        overlap = [view.overlap[i] for i in players]
+        excess = np.sum(overlap, axis=0, dtype=np.int64) - pc
     top = int(excess.max())
     if top <= 0:
         return ObstacleReport(0, 0, (0,) * len(overlap), True)
@@ -380,7 +475,7 @@ def over_demanded_set(instance: Instance, prices: Prices,
     return ObstacleReport(
         bundle=best,
         excess=top,
-        per_player=tuple(int(x) for x in overlap[:, best]),
+        per_player=tuple(int(row[best]) for row in overlap),
         unique=len(minimal) == 1,
     )
 

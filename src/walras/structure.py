@@ -90,8 +90,9 @@ def check_gs_on_grid(v: Valuation, bound: Optional[int] = None,
     Returns None on a clean pass (heuristic evidence) or the first witness
     in scan order (sound). bound defaults to one past twice the largest
     value, which covers every price at which demand can still change.
-    The scan visits (bound + 1)**m * m grid entries, at most budget
-    (default: the grid budget, or WALRAS_BUDGET).
+    The scan holds one utility per grid point and bundle, (bound + 1)**m
+    * 2**m entries, at most budget (default: the grid budget, or
+    WALRAS_BUDGET).
     """
     m = v.m
     doubled = np.asarray(v.table, dtype=np.int64) * 2
@@ -101,8 +102,8 @@ def check_gs_on_grid(v: Valuation, bound: Optional[int] = None,
         budget = env_budget(DEFAULT_GRID_BUDGET)
     radix = bound + 1
     points = radix ** m
-    if points * m > budget:
-        raise BudgetExceeded(f"grid scan needs {points * m} visits, budget {budget}")
+    if points << m > budget:
+        raise BudgetExceeded(f"grid scan holds {points << m} entries, budget {budget}")
 
     bits, _ = demand._static(m)
     # demanded[p + (S,)]: bundle S is demanded at grid price p

@@ -291,27 +291,42 @@ def test_long_steps_build_few_views(monkeypatch):
 
 def test_fine_rebuilds_only_the_rows_its_raise_meets(monkeypatch):
     # fine raises one item per step, and a view built from the one before
-    # rebuilds only the players whose demand meets that item
+    # redoes only the rows of the players whose demand meets that item;
+    # most of those rows it shifts, and only the rest rescan a value table
     rng = random.Random(2016)
     inst = make_instance([f"i{j}" for j in range(6)], [
         make_unit_demand([rng.randint(512, 1024) for _ in range(6)])
         for _ in range(9)])
-    built, rows = set(), []
-    view, row = demand._view, demand._row
+    built, calls = set(), {"_shift": 0, "_row": 0}
+    stale = rescans = 0
+    view = demand._view
 
     def counting_views(owner, players, m, prices):
+        nonlocal stale, rescans
         built.add((id(owner), tuple(prices)))
-        return view(owner, players, m, prices)
+        before = dict(calls)
+        got = view(owner, players, m, prices)
+        # a view built from the one before tries a shift on each stale row
+        if calls["_shift"] > before["_shift"]:
+            stale += calls["_shift"] - before["_shift"]
+            rescans += calls["_row"] - before["_row"]
+        return got
 
-    def counting_rows(v, *args):
-        rows.append(v)
-        return row(v, *args)
+    def counting(name):
+        real = getattr(demand, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
 
     monkeypatch.setattr(demand, "_view", counting_views)
-    monkeypatch.setattr(demand, "_row", counting_rows)
+    for name in calls:
+        monkeypatch.setattr(demand, name, counting(name))
     trace = auctions.fine_auction(inst)
     assert trace.terminated and len(trace.steps) > 1000
-    assert len(rows) < inst.n * len(built) / 3
+    assert stale < inst.n * len(built) / 3
+    assert rescans < stale / 2
 
 
 def test_unit_step_engines_never_take_long_steps(monkeypatch):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walras import demand, model, oracle
+from walras import auctions, demand, model, oracle
 from walras.model import add_indicator, make_instance, make_unit_demand, popcount
 
 import conftest
@@ -340,6 +340,34 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
         assert list(demand._memo[1]) == [p]
 
 
+def test_full_memo_holds_no_more_bytes_than_its_count(monkeypatch):
+    # a ladder-style market: unit-demand and two-slot OXS players, m = 10;
+    # fine visits more prices than the memo holds, so it fills to the cap
+    rng = random.Random(10)
+    m = 10
+    players = [
+        make_unit_demand([rng.randint(0, 64) for _ in range(m)]) if i % 2 == 0
+        else model.make_table(m, conftest.assignment_table(
+            m, [[rng.randint(0, 32), rng.randint(0, 32)] for _ in range(m)]))
+        for i in range(m + 3)]
+    inst = make_instance([f"i{j}" for j in range(m)], players)
+    monkeypatch.setattr(demand, "_memo", (None, {}, None, None))
+    tracemalloc.start()
+    try:
+        auctions.fine_auction(inst)
+        views = len(demand._memo[1])
+        with_memo = tracemalloc.get_traced_memory()[0]
+        demand._memo = (None, {}, None, None)
+        held = with_memo - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (views + 1) * ((inst.n + 2) << m) > demand.MEMO_ENTRIES
+    assert held <= 8 * demand.MEMO_ENTRIES
+    # n uint8 overlap rows and one int64 excess per view, some shared,
+    # against the (n + 2) int64 rows the count assumes
+    assert held <= 2 * demand.MEMO_ENTRIES
+
+
 def test_memo_is_safe_across_threads():
     # three threads per market, so a thread can find its own market's
     # owner in the memo while another thread swaps the views
@@ -411,7 +439,7 @@ def market_of(rng, kind, m, n):
 
 def fields(view):
     return (view.utility, view.demand, view.minimal, view.reach,
-            view.overlap.tolist(), view.excess.tolist())
+            np.stack(view.overlap).tolist(), view.excess.tolist())
 
 
 def fresh_view(inst, prices):
@@ -454,6 +482,56 @@ def test_view_built_from_a_lower_one_matches_a_fresh_build(seed, kind, move):
     assert fields(got) == want
     assert (got is base) == (move == "none")
     assert demand._memo[0] is inst and demand._memo[3] is got
+
+
+def check_chain(inst, chain):
+    """Walk the rising prices of chain, each view built from the one before,
+    against fresh builds; below must bound every undemanded bundle's
+    utility, computed from the value tables, and stay under the best."""
+    want = [fields(fresh_view(inst, q)) for q in chain]
+    demand._memo = (None, {}, None, None)
+    for q, expect in zip(chain, want):
+        view = demand._market(inst, q)
+        assert fields(view) == expect
+        for v, top, family, below in zip(inst.players, view.utility, view.demand,
+                                         view.below):
+            assert below < top
+            demanded = set(family)
+            assert all(demand.utility(v, q, t) <= below
+                       for t in range(1 << inst.m) if t not in demanded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.sampled_from(KINDS))
+def test_a_chain_of_rises_matches_fresh_builds(seed, kind):
+    # each view after the first is built from the one before, so below
+    # loosens along the chain as rows are shifted without a rescan
+    rng = random.Random(seed)
+    m, n = rng.randint(2, 5), rng.randint(1, 4)
+    inst = market_of(rng, kind, m, n)
+    p = list(conftest.random_prices(rng, inst, hi=conftest.VMAX + 1))
+    chain = [tuple(p)]
+    for _ in range(rng.randint(2, 6)):
+        for j in rng.sample(range(m), rng.randint(1, m)):
+            p[j] += rng.randint(1, 3)
+        chain.append(tuple(p))
+    check_chain(inst, chain)
+
+
+def test_a_chain_of_rises_from_a_large_family_matches_fresh_builds():
+    # near zero prices the first player demands every bundle holding item 0
+    # or item 1, 192 of them: more than SCAN_MEMBERS, so its row rescans
+    m = 8
+    inst = make_instance([f"i{j}" for j in range(m)], [
+        make_unit_demand((9, 9, 5, 4, 3, 2, 1, 1)),
+        make_unit_demand((1, 2, 3, 4, 5, 6, 7, 8)),
+        make_unit_demand((4, 1, 7, 1, 4, 7, 2, 2))])
+    assert len(fresh_view(inst, (0,) * m).demand[0]) > demand.SCAN_MEMBERS
+    chain, p = [], [0] * m
+    for j in (2, 0, 7, 7, 1, 0, 5, 2, 2, 6, 1, 0, 3, 4, 7):
+        chain.append(tuple(p))
+        p[j] += 1
+    check_chain(inst, chain)
 
 
 def minimal_members_reference(family):

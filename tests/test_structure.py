@@ -118,6 +118,16 @@ def test_grid_budget_guard():
         structure.check_gs_on_grid(make_unit_demand((8,) * 6), budget=100)
 
 
+def test_grid_budget_counts_the_utilities_it_holds(monkeypatch):
+    # 4**9 doubled-price points times 9 items fit the default grid budget,
+    # but the scan would hold 4**9 * 2**9 int64 utilities, about 1.1 GB
+    monkeypatch.delenv("WALRAS_BUDGET", raising=False)
+    with pytest.raises(oracle.BudgetExceeded,
+                       match=f"grid scan holds {4 ** 9 << 9} entries, "
+                             f"budget {model.DEFAULT_GRID_BUDGET}"):
+        structure.check_gs_on_grid(make_unit_demand((1,) * 9))
+
+
 def test_single_improvement():
     assert structure.check_single_improvement(make_unit_demand((3, 1)), (0, 0)) is None
     bad = structure.check_single_improvement(ggs24(), (1, 1, 1))
