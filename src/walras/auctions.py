@@ -40,7 +40,8 @@ from typing import Callable, Optional
 
 from . import demand
 from .model import (
-    Instance, InvariantViolation, Prices, add_indicator, iter_items, prices_to_json,
+    Instance, InvariantViolation, Prices, add_indicator, dominated, iter_items,
+    prices_to_json,
 )
 
 
@@ -198,9 +199,9 @@ def monitor_domination(trace: AuctionTrace, p_star: Prices) -> Optional[int]:
     step index (len(steps) names the final price).
     """
     for step in trace.steps:
-        if any(a > b for a, b in zip(step.price_before, p_star)):
+        if not dominated(step.price_before, p_star):
             return step.t
-    if any(a > b for a, b in zip(trace.final_price, p_star)):
+    if not dominated(trace.final_price, p_star):
         return len(trace.steps)
     return None
 

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 from . import auctions, demand, ggs2, oracle, structure
 from .model import (
-    BudgetExceeded, Instance, ModelError, Prices, add_indicator,
-    instance_from_json, make_instance, prices_from_json, prices_to_json,
+    DEFAULT_OP_BUDGET, BudgetExceeded, Instance, ModelError, Prices, add_indicator,
+    env_budget, instance_from_json, make_instance, prices_from_json, prices_to_json,
 )
 
 ALGORITHMS = ("gs", "ausubel", "fine", "ggs2")
@@ -292,9 +292,7 @@ def cmd_demo(args) -> int:
         _emit(report, args.out)
         return 0 if ok else 1
 
-    print(f"error: unknown demo {args.name!r}; choose from {DEMOS}",
-          file=sys.stderr)
-    return 1
+    return _fail(f"unknown demo {args.name!r}; choose from {DEMOS}")
 
 
 def cmd_oracle(args) -> int:
@@ -323,21 +321,20 @@ def cmd_oracle(args) -> int:
                       file=sys.stderr)
             _emit(prices_to_json(rep.price, instance), args.out)
             return 0
-        if args.what == "envy-free":
-            if not args.price:
-                return _fail("envy-free needs --price")
-            prices = prices_from_json(args.price, instance)
-            alloc = oracle.envy_free_exists(instance, prices, budget=budget)
-            _emit({"envy_free_allocation": (
-                None if alloc is None
-                else [instance.label_bundle(b) for b in alloc])}, args.out)
-            return 0
+        # envy-free, the last of the choices argparse allows
+        if not args.price:
+            return _fail("envy-free needs --price")
+        prices = prices_from_json(args.price, instance)
+        alloc = oracle.envy_free_exists(instance, prices, budget=budget)
+        _emit({"envy_free_allocation": (
+            None if alloc is None
+            else [instance.label_bundle(b) for b in alloc])}, args.out)
+        return 0
     except BudgetExceeded as exc:
         _print(json.dumps({"error": "budget exceeded", "detail": str(exc)}))
         return 1
     except ModelError as exc:
         return _fail(str(exc))
-    return _fail(f"unknown oracle query {args.what!r}")
 
 
 def cmd_inspect(args) -> int:
@@ -420,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a malformed WALRAS_BUDGET fails here, not as some exceeded budget
+        env_budget(DEFAULT_OP_BUDGET)
         return args.func(args)
     except BudgetExceeded as exc:
         return _fail(str(exc))

@@ -92,9 +92,17 @@ from .model import (
 
 
 @lru_cache(maxsize=32)
+def _masks(m: int) -> np.ndarray:
+    """Every bundle mask of m items, in order, read-only."""
+    masks = np.arange(1 << m, dtype=np.int64)
+    masks.setflags(write=False)
+    return masks
+
+
+@lru_cache(maxsize=32)
 def _static(m: int):
     """Per-universe constants: bit matrix and popcount table."""
-    masks = np.arange(1 << m, dtype=np.int64)
+    masks = _masks(m)
     bits = ((masks[:, None] >> np.arange(m)) & 1).astype(np.int64)
     pc = bits.sum(axis=1)
     bits.setflags(write=False)
@@ -121,12 +129,6 @@ def _grid_sum(offsets) -> np.ndarray:
     for off in offsets:
         total = (np.asarray(off, dtype=np.int64)[:, None] + total).ravel()
     return total
-
-
-def _grid_meet(points: np.ndarray, radix) -> tuple[int, ...]:
-    """Coordinatewise minimum of the grid points where points is true."""
-    coords = np.unravel_index(np.flatnonzero(points), radix, order="F")
-    return tuple(int(c.min()) for c in coords)
 
 
 def _raise_sweep(util: np.ndarray, options) -> np.ndarray:
@@ -242,14 +244,6 @@ _memo: tuple[object, dict, Optional[Prices], Optional[_MarketView]] = (
 
 # below when every bundle is demanded
 _NO_BUNDLE = int(np.iinfo(np.int64).min)
-
-
-@lru_cache(maxsize=32)
-def _masks(m: int) -> np.ndarray:
-    """Every bundle mask of m items, in order, read-only."""
-    masks = np.arange(1 << m, dtype=np.int64)
-    masks.setflags(write=False)
-    return masks
 
 
 def _overlap_row(minimal: tuple[int, ...], m: int) -> np.ndarray:
@@ -511,7 +505,7 @@ def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[i
     if not any(held):
         return None
     _, pc = _static(instance.m)
-    meet = pc[np.arange(1 << instance.m, dtype=np.int64) & raised]
+    meet = pc[_masks(instance.m) & raised]
     util = _utilities(instance.players, prices)
     top = np.array(view.utility, dtype=np.int64)
     over = np.array(held, dtype=np.int64)

@@ -10,9 +10,12 @@ values are kept at desk scale.
 All values and prices are integers. Rational inputs are rejected rather
 than scaled.
 
-The error types shared by every module live here too, with the one
-enumeration budget: each exhaustive search checks its size against a
-default that WALRAS_BUDGET overrides, and raises BudgetExceeded past it.
+The error types shared by every module live here too, with two of the
+three enumeration budgets: DEFAULT_OP_BUDGET in steps, entries or nodes,
+and DEFAULT_GRID_BUDGET in grid points or entries (structure keeps the
+completion search's node budget). Each exhaustive search checks its size
+against its default, which WALRAS_BUDGET overrides, and raises
+BudgetExceeded past it.
 """
 
 from __future__ import annotations
@@ -131,9 +134,13 @@ class Violation:
     bundles: tuple[int, ...] = ()
 
 
-def _check_table_shape(m: int, table: Sequence[int]) -> tuple[int, ...]:
+def _check_item_count(m: int) -> None:
     if not isinstance(m, int) or m < 1 or m > MAX_ITEMS:
         raise ModelError(f"item count must be in 1..{MAX_ITEMS}, got {m}")
+
+
+def _check_table_shape(m: int, table: Sequence[int]) -> tuple[int, ...]:
+    _check_item_count(m)
     if len(table) != 1 << m:
         raise ModelError(f"table must have {1 << m} entries, got {len(table)}")
     return tuple(_require_int(x, "valuation value") for x in table)
@@ -149,34 +156,34 @@ def make_table(m: int, table: Sequence[int]) -> Valuation:
     return Valuation(m=m, table=_check_table_shape(m, table))
 
 
-def make_additive(singletons: Sequence[int]) -> Valuation:
-    """Additive valuation: a bundle is worth the sum of its item values."""
+def _check_singletons(singletons: Sequence[int]) -> tuple[int, ...]:
     vals = tuple(_require_int(x, "item value") for x in singletons)
     if any(x < 0 for x in vals):
         raise ModelError("item values must be nonnegative")
-    m = len(vals)
-    if m < 1 or m > MAX_ITEMS:
-        raise ModelError(f"item count must be in 1..{MAX_ITEMS}, got {m}")
-    table = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] + vals[low.bit_length() - 1]
-    return Valuation(m=m, table=tuple(table), class_tag="additive", singletons=vals)
+    _check_item_count(len(vals))
+    return vals
+
+
+# Both singleton tables fill by doubling: the table so far with item j
+# added to every bundle is the bundles 2**j .. 2**(j+1) - 1.
+def make_additive(singletons: Sequence[int]) -> Valuation:
+    """Additive valuation: a bundle is worth the sum of its item values."""
+    vals = _check_singletons(singletons)
+    table = [0]
+    for x in vals:
+        table += [t + x for t in table]
+    return Valuation(m=len(vals), table=tuple(table), class_tag="additive",
+                     singletons=vals)
 
 
 def make_unit_demand(singletons: Sequence[int]) -> Valuation:
     """Unit-demand valuation: a bundle is worth its best single item."""
-    vals = tuple(_require_int(x, "item value") for x in singletons)
-    if any(x < 0 for x in vals):
-        raise ModelError("item values must be nonnegative")
-    m = len(vals)
-    if m < 1 or m > MAX_ITEMS:
-        raise ModelError(f"item count must be in 1..{MAX_ITEMS}, got {m}")
-    table = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        table[mask] = max(table[mask ^ low], vals[low.bit_length() - 1])
-    return Valuation(m=m, table=tuple(table), class_tag="unit_demand", singletons=vals)
+    vals = _check_singletons(singletons)
+    table = [0]
+    for x in vals:
+        table += [t if t > x else x for t in table]
+    return Valuation(m=len(vals), table=tuple(table), class_tag="unit_demand",
+                     singletons=vals)
 
 
 def first_monotonicity_violation(table: Sequence[int], m: int) -> Optional[tuple[int, int]]:
@@ -309,8 +316,7 @@ class Instance:
 
 def make_instance(items: Sequence[str], players: Sequence[Valuation]) -> Instance:
     items = tuple(items)
-    if not items or len(items) > MAX_ITEMS:
-        raise ModelError(f"item count must be in 1..{MAX_ITEMS}, got {len(items)}")
+    _check_item_count(len(items))
     if len(set(items)) != len(items):
         raise ModelError("duplicate item labels")
     if any(not isinstance(x, str) or not x or "," in x for x in items):
@@ -443,9 +449,8 @@ def instance_from_json(text: Union[str, bytes], vmax: int = DEFAULT_VMAX) -> Ins
     items = obj["items"]
     if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
         raise ModelError("'items' must be a list of labels")
-    if not items or len(items) > MAX_ITEMS:
-        # before any table player allocates its 2**m entries
-        raise ModelError(f"item count must be in 1..{MAX_ITEMS}, got {len(items)}")
+    # before any table player allocates its 2**m entries
+    _check_item_count(len(items))
     index = {label: j for j, label in enumerate(items)}
     if len(index) != len(items):
         raise ModelError("duplicate item labels")

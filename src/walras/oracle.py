@@ -305,9 +305,8 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
     if best > welfare:
         return None
 
-    found = lvals == best
-    grid = found.reshape(radix, order="F")
-    meet = demand._grid_meet(found, radix)
+    grid = (lvals == best).reshape(radix, order="F")
+    meet = tuple(int(c.min()) for c in np.nonzero(grid))
     if grid[meet]:
         # at equality the certificate is checked, and raises if it fails
         is_walrasian(instance, meet, budget=budget)

@@ -27,7 +27,7 @@ import numpy as np
 from . import demand
 from .model import (
     DEFAULT_GRID_BUDGET, BudgetExceeded, Instance, InvariantViolation, Prices,
-    Valuation, add_indicator, env_budget, iter_items, is_submodular,
+    Valuation, add_indicator, dominated, env_budget, iter_items, is_submodular,
     first_monotonicity_violation, popcount,
 )
 
@@ -54,18 +54,14 @@ class GsWitness:
     violated_item: Optional[int]
 
 
-def _demand_family(v: Valuation, prices: Prices) -> tuple[int, ...]:
-    return demand.demand_sets(v, prices).demand
-
-
 def gs_witness_holds(v: Valuation, witness: GsWitness) -> bool:
     """Verify a witness directly against the doubled valuation."""
     doubled = Valuation(m=v.m, table=tuple(2 * x for x in v.table))
-    low = _demand_family(doubled, witness.price_low)
-    high = _demand_family(doubled, witness.price_high)
+    low = demand.demand_sets(doubled, witness.price_low).demand
+    high = demand.demand_sets(doubled, witness.price_high).demand
     if witness.bundle not in low:
         return False
-    if not all(a <= b for a, b in zip(witness.price_low, witness.price_high)):
+    if not dominated(witness.price_low, witness.price_high):
         return False
     kept = witness.kept_bundle
     expect_kept = witness.bundle & sum(

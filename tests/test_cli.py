@@ -236,6 +236,22 @@ def test_run_certificate_over_budget_is_an_error(capsys, tmp_path, monkeypatch):
     assert captured.err.startswith("error: welfare DP needs")
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--algorithm", "gs"],
+    ["check", "gs"],
+    ["oracle", "welfare"],
+    ["inspect", "--price", '{"x": 2}'],
+])
+def test_malformed_env_budget_is_one_error_line(capsys, two_path, monkeypatch,
+                                                command):
+    # reported before the command runs, never as a budget some scan exceeded
+    monkeypatch.setenv("WALRAS_BUDGET", "abc")
+    assert cli.main([*command, "--instance", two_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: WALRAS_BUDGET must be an integer, got 'abc'\n"
+
+
 def test_ausubel_and_inspect_run_past_twelve_items(capsys, tmp_path,
                                                   monkeypatch):
     monkeypatch.delenv("WALRAS_BUDGET", raising=False)

@@ -48,6 +48,19 @@ def test_demand_contains_empty_set_when_priced_out():
     assert rep.minimal_demand == (0,)
 
 
+def test_price_vector_of_the_wrong_length_is_rejected():
+    inst = make_instance(["x", "y"], [make_unit_demand((2, 3))])
+    v = inst.players[0]
+    message = "price vector has 1 entries, instance has 2"
+    for query, owner in ((demand.lyapunov, inst), (demand.demand_sets, v)):
+        with pytest.raises(ValueError, match=message):
+            query(owner, (1,))
+        query(owner, (0, 0))
+        # again with a view of the right length memoized for the same owner
+        with pytest.raises(ValueError, match=message):
+            query(owner, (1,))
+
+
 def test_min_demand_overlap_definition():
     rng = random.Random(7)
     for _ in range(40):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walras import demand, ggs2, model, oracle
+from walras import cli, demand, ggs2, model, oracle
 from walras.model import make_additive, make_instance, make_truncation, \
     make_unit_demand
 
@@ -114,6 +114,21 @@ def test_auction_checks_the_shape_once(monkeypatch):
     assert len(trace.steps) > 1
     assert cert.valid
     assert len(calls) == 1
+
+
+def test_iteration_cap_stops_with_the_empty_allocation(monkeypatch, tmp_path):
+    inst = claim_instance()
+    assert len(ggs2.ggs2_auction(inst)[0].steps) >= 2
+    monkeypatch.setattr(ggs2, "iteration_cap", lambda instance: 1)
+    trace, cert = ggs2.ggs2_auction(inst)
+    assert trace.iteration_cap_hit and not trace.terminated
+    assert trace.anomalies == ("iteration cap 1 hit",)
+    assert len(trace.steps) == 1
+    assert cert.allocation == (0,) * inst.n
+    assert not cert.valid
+    path = tmp_path / "claim.json"
+    path.write_text(model.instance_to_json(inst))
+    assert cli.main(["run", "--instance", str(path), "--algorithm", "ggs2"]) == 2
 
 
 def test_auction_rejects_non_pair_cap_instances():

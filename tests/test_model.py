@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walras import model
 from walras.model import (
@@ -36,6 +36,53 @@ def test_additive_table():
     v = make_additive((2, 5, 3))
     assert v.table[0b111] == 10
     assert v.table[0b101] == 5
+
+
+def lowest_bit_additive(vals):
+    """The additive table by the lowest-bit recurrence, one bundle at a time."""
+    table = [0] * (1 << len(vals))
+    for mask in range(1, 1 << len(vals)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + vals[low.bit_length() - 1]
+    return table
+
+
+def lowest_bit_unit_demand(vals):
+    """The unit-demand table by the lowest-bit recurrence."""
+    table = [0] * (1 << len(vals))
+    for mask in range(1, 1 << len(vals)):
+        low = mask & -mask
+        table[mask] = max(table[mask ^ low], vals[low.bit_length() - 1])
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 8), st.integers(2 ** 63, 2 ** 70)),
+                min_size=1, max_size=10))
+@example([2 ** 63, 2 ** 64 + 1, 3])
+def test_singleton_tables_by_doubling(vals):
+    m = len(vals)
+    add, unit = make_additive(vals), make_unit_demand(vals)
+    assert list(add.table) == lowest_bit_additive(vals)
+    assert list(unit.table) == lowest_bit_unit_demand(vals)
+    for mask in range(1 << m):
+        members = [vals[j] for j in iter_items(mask)]
+        assert add.table[mask] == sum(members)
+        assert unit.table[mask] == max(members, default=0)
+    assert add.singletons == unit.singletons == tuple(vals)
+
+
+def test_item_count_rule_is_shared():
+    message = f"item count must be in 1..{model.MAX_ITEMS}, got 0"
+    for build in (lambda: make_table(0, [0]), lambda: make_additive(()),
+                  lambda: make_unit_demand(()), lambda: make_instance([], []),
+                  lambda: instance_from_json('{"items": [], "players": []}')):
+        with pytest.raises(ModelError, match=message):
+            build()
+    with pytest.raises(ModelError, match="got 21"):
+        make_unit_demand((1,) * 21)
+    with pytest.raises(ModelError, match="item values must be nonnegative"):
+        make_additive((1, -1))
 
 
 def test_make_table_rejects_bad_shape():

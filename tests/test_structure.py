@@ -1,5 +1,6 @@
 """Structural checkers: GS certification, matroid laws, demand transitions."""
 
+import dataclasses
 import itertools
 import random
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walras import demand, model, oracle, structure
+from walras import demand, ggs2, model, oracle, structure
 from walras.model import add_indicator, make_additive, make_instance, make_table, \
     make_truncation, make_unit_demand
 
@@ -111,6 +112,20 @@ def test_witness_verifier_rejects_fabrication():
                                bundle=0b001, kept_bundle=0b001,
                                violated_item=0)
     assert not structure.gs_witness_holds(make_unit_demand((1, 1, 1)), fake)
+
+
+@pytest.mark.parametrize("forged", [
+    {"bundle": 0b010},                  # not demanded at price_low
+    {"price_high": (1, 0, 1)},          # price_high does not dominate price_low
+    {"kept_bundle": 0b011},             # keeps an item whose price moved
+    {"kept_bundle": 0},                 # some bundle at price_high holds it all
+    {"violated_item": 0},               # not a kept item
+])
+def test_witness_verifier_rejects_each_forged_field(forged):
+    v = ggs2.demo_not_gs_valuation()
+    witness = structure.check_gs_on_grid(v)
+    assert structure.gs_witness_holds(v, witness)
+    assert not structure.gs_witness_holds(v, dataclasses.replace(witness, **forged))
 
 
 def test_grid_budget_guard():
@@ -317,6 +332,10 @@ def test_ggs_membership():
     tall = structure.is_ggs_member(make_table(2, (0, 5, 1, 4)), 2, 4)
     assert not tall.member
     assert tall.reason == "small bundle above the cap"
+
+    with pytest.raises(model.BudgetExceeded,
+                       match="completion search passed 1 nodes"):
+        structure.is_ggs_member(ggs24(), 2, 4, budget=1)
 
 
 @settings(max_examples=15, deadline=None)
