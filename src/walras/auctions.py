@@ -8,35 +8,59 @@ and run_with_policy exposes the choice as a hook. The fourth raises the
 minimal Lyapunov-minimizing set until it is empty; on substitutes input
 it walks the identical price path.
 
-The full-set rule takes long steps. Its choice reads only the demand
-families at the current price, and along the ray p + k * 1_R those stay
-fixed until the break point k* of demand.stable_raises: every demanded
-bundle of player i meets R in the same c_i items, so all of them lose
-c_i per raise and no other bundle catches up before k*. Up to p + (k* -
-1) * 1_R the obstacle, its excess f and its tie-break flag are therefore
-those at p, and the Lyapunov value falls by exactly f per raise (the
-utilities lose sum c_i, the prices gain |R|). The loop appends those
-steps without building a view and builds the next one at p + k* * 1_R;
-the trace is the one the unit-step loop gives, step for step. The other
-rules keep unit steps: a policy may read the price and the step index,
-and the minimizer rule stays an independent computation to compare gs
-against.
+Two rules skip views where the trace can be replayed. A rule's choice,
+its excess f and its tie-break flag read only the demand families at the
+current price, and along a ray p + k * 1_U those stay fixed until the
+break point of demand.stable_raises: every demanded bundle of player i
+meets U in the same c_i items, so all of them lose c_i per raise and no
+other bundle catches up before then.
+
+* The full-set rule takes long steps: up to p + (k* - 1) * 1_R its step
+  is the one at p, and the Lyapunov value falls by exactly f per raise
+  (the utilities lose sum c_i, the prices gain |R|).
+* The single-item rule replays rounds. Suppose its last r steps raised
+  the distinct items U = {j_1 .. j_r} from prices a_0 .. a_{r-1} and
+  ended at a_0 + 1_U with the demand families of a_0. With B the least
+  break point of U over a_0 .. a_{r-1}, each a_i + k * 1_U with k < B has
+  the families of a_i, so the rule raises j_{i+1} there with a_i's f and
+  flag: rounds 1 .. B - 1 are round 0 moved by k * 1_U, and step i of
+  round k has Lyapunov value L(a_i) - k * (sum_players c_i - |U|), with
+  c_i read from the families at a_i. A round is tried once it has run
+  three times in a row, a free bound from the empty bundle and the
+  singletons screens it, and one that breaks before MIN_ROUNDS rounds is
+  played a step at a time; a failed try waits for three more rounds.
+
+Either way the loop appends the steps without a view for each, stops at
+the iteration cap inside them as the unit-step loop would, and builds the
+next view where the copies end; the trace is the unit-step one, step for
+step. The other rules keep unit steps: a policy may read the price, the
+step index and its own random state, and the minimizer rule reads
+utilities outside the demand families and stays an independent
+computation to compare gs against.
 
 Engines never reject input. On valuations outside the substitutes
 class the loop may misbehave, so each step is watched: a Lyapunov
 increase is recorded as an anomaly and a hard iteration cap turns
-into a flagged, unterminated trace rather than an endless run. Two
-invariants raise InvariantViolation, also under python -O: a unit raise
-of R never lowers the Lyapunov value by more than its excess f (each old
-demanded bundle still reaches u_i - c_i), and the last price of a long
-step still has the demand families of its first.
+into a flagged, unterminated trace rather than an endless run. These
+invariants raise InvariantViolation, also under python -O:
+
+* a unit raise never lowers the Lyapunov value by more than its excess
+  f (each old demanded bundle still reaches u_i - c_i), checked at every
+  view, the one where copies end included;
+* the first copied step's Lyapunov value is the view's at the current
+  price;
+* the last copied price of each position still has, read from the raw
+  value tables by demand.demand_families, the demand families of round
+  0 at that position. A break point overstated by any amount fails this
+  at the position that sets it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import add
+from typing import Callable, NamedTuple, Optional
 
 from . import demand
 from .model import (
@@ -85,8 +109,28 @@ Policy = Callable[[demand.ObstacleReport, Prices, int], int]
 RaiseRule = Callable[[Instance, Prices], tuple[int, bool, Callable[[int], int]]]
 
 
+class _Replay(NamedTuple):
+    """Rounds first .. rounds - 1 of a round of steps, round k moved by k * 1_U."""
+    steps: tuple[AuctionStep, ...]      # round 0
+    falls: tuple[int, ...]              # per position, the Lyapunov fall per round
+    families: tuple                     # per position, the demand families
+    items: int                          # U, the union of the round's raises
+    first: int
+    rounds: int                         # the break point B over every position
+
+
+# fine replays a round only when it holds for at least this many rounds: a
+# shorter replay does not pay for its checks, so the round is played a step
+# at a time instead, with the same trace.
+MIN_ROUNDS = 5
+
+# A planner sees the steps so far and the step about to be taken at the
+# current price, and returns a replay that takes it, or None for a unit step.
+Planner = Callable[[Instance, list, AuctionStep], Optional[_Replay]]
+
+
 def _ascend(instance: Instance, algorithm: str, rule: RaiseRule,
-            long_steps: bool = False) -> AuctionTrace:
+            planner: Optional[Planner] = None) -> AuctionTrace:
     cap = iteration_cap(instance)
     p = instance.zero_prices()
     steps: list[AuctionStep] = []
@@ -99,48 +143,172 @@ def _ascend(instance: Instance, algorithm: str, rule: RaiseRule,
                             tuple(anomalies))
 
     lyap = demand.lyapunov(instance, p)
-    left = 0        # raises left in the current step, all of one set
     while True:
-        # within a long step the rule would choose the same set again
-        if not left:
-            target, unique, choose = rule(instance, p)
-            if target == 0:
-                return stop(capped=False)
+        target, unique, choose = rule(instance, p)
+        if target == 0:
+            return stop(capped=False)
         if len(steps) >= cap:
             return stop(capped=True)
-        if not left:
-            raised = choose(len(steps))
-            if raised == 0 or raised & ~target:
-                raise PolicyViolation(
-                    f"step {len(steps)}: chose {raised:#x} outside obstacle "
-                    f"{target:#x}"
-                )
-            f_val = demand.excess_demand(instance, p, raised)
-            # gs raises an over-demanded set, which some player's demand
-            # meets, so its break point is finite
-            left = demand.stable_raises(instance, p, raised) if long_steps else 1
-            families = (tuple(r.demand for r in demand.demand_reports(instance, p))
-                        if left > 1 else None)
-        steps.append(AuctionStep(len(steps), p, raised, lyap, f_val, unique))
-        p = add_indicator(p, raised)
-        left -= 1
-        if left:
-            new_lyap = lyap - f_val
+        raised = choose(len(steps))
+        if raised == 0 or raised & ~target:
+            raise PolicyViolation(
+                f"step {len(steps)}: chose {raised:#x} outside obstacle "
+                f"{target:#x}"
+            )
+        step = AuctionStep(len(steps), p, raised, lyap,
+                           demand.excess_demand(instance, p, raised), unique)
+        replay = planner(instance, steps, step) if planner else None
+        if replay is None:
+            steps.append(step)
+            p = add_indicator(p, raised)
         else:
-            new_lyap = demand.lyapunov(instance, p)
-            if new_lyap < lyap - f_val:
+            copied = replay.steps[0].lyapunov_before - replay.first * replay.falls[0]
+            if copied != lyap:
                 raise InvariantViolation(
-                    f"step {len(steps) - 1}: Lyapunov value fell from {lyap} "
-                    f"to {new_lyap}, more than the excess {f_val}")
-            if families is not None:
-                last = add_indicator(p, raised, -1)
-                if demand.demand_families(instance, last) != families:
+                    f"step {step.t}: replayed Lyapunov value {copied} differs "
+                    f"from the view's {lyap} at {p}")
+            p, capped = _append_rounds(steps, anomalies, replay, lyap, cap)
+            if capped:
+                return stop(capped=True)
+            for s, families in zip(steps[-len(replay.steps):], replay.families):
+                if demand.demand_families(instance, s.price_before) != families:
                     raise InvariantViolation(
-                        f"step {len(steps) - 1}: demand at {last} differs from "
-                        f"the start of its long step")
-        if new_lyap > lyap:
-            anomalies.append(f"lyapunov rose at step {len(steps) - 1}")
+                        f"step {s.t}: demand at {s.price_before} differs from "
+                        f"round 0 of its replay")
+        last = steps[-1]
+        new_lyap = demand.lyapunov(instance, p)
+        if new_lyap < last.lyapunov_before - last.f_value:
+            raise InvariantViolation(
+                f"step {last.t}: Lyapunov value fell from {last.lyapunov_before} "
+                f"to {new_lyap}, more than the excess {last.f_value}")
+        if new_lyap > last.lyapunov_before:
+            anomalies.append(f"lyapunov rose at step {last.t}")
         lyap = new_lyap
+
+
+def _append_rounds(steps: list, anomalies: list, replay: _Replay, lyap: int,
+                   cap: int) -> tuple[Prices, bool]:
+    """Append the replay's rounds, step i of round k at a_i + k * 1_U with
+    Lyapunov value L(a_i) - k * fall_i, up to the iteration cap.
+
+    Returns the price after the last appended step and whether the cap cut
+    the rounds short. A cut leaves the price inside the replay, where the
+    Lyapunov value is known without a view and the raise rule would choose
+    again, so the unit-step loop would stop there on the cap as well.
+    """
+    unit = add_indicator((0,) * len(replay.steps[0].price_before), replay.items)
+    prices = [add_indicator(s.price_before, replay.items, replay.first)
+              for s in replay.steps]
+    t = len(steps)
+    for k in range(replay.first, replay.rounds):
+        for i, (s, fall) in enumerate(zip(replay.steps, replay.falls)):
+            price = prices[i]
+            value = s.lyapunov_before - k * fall
+            if value > lyap:
+                anomalies.append(f"lyapunov rose at step {t - 1}")
+            lyap = value
+            if t >= cap:
+                return price, True
+            steps.append(AuctionStep(t, price, s.raised, value, s.f_value, s.unique))
+            prices[i] = tuple(map(add, price, unit))
+            t += 1
+    last = steps[-1]
+    return add_indicator(last.price_before, last.raised), False
+
+
+def _long_step(instance: Instance, steps: list, step: AuctionStep
+               ) -> Optional[_Replay]:
+    """gs's planner: the step is a round of its own, repeated up to the break
+    point of its raise. stable_raises returns None only for a raise that no
+    demanded bundle meets, which an over-demanded set is not; the cap would
+    bound such a replay."""
+    rounds = demand.stable_raises(instance, step.price_before, step.raised)
+    held = demand.held_demand(instance, step.price_before) if rounds != 1 else None
+    if held is None:
+        return None
+    return _Replay((step,), (step.f_value,), (held[1],), step.raised, 0,
+                   rounds or iteration_cap(instance))
+
+
+def _round_replay() -> Planner:
+    """fine's planner, for one run: replays a round of single-item raises
+    once it has run three times in a row (see the module docstring)."""
+    last_at: dict[int, int] = {}    # raised item -> the last step that raised it
+    since: Optional[int] = 0        # rounds are read from this step on
+
+    def plan(instance: Instance, steps: list, step: AuctionStep
+             ) -> Optional[_Replay]:
+        nonlocal since
+        t = len(steps)
+        if since is None:       # a replay ended here
+            since = t
+        start = last_at.get(step.raised, -1)
+        last_at[step.raised] = t
+        r = t - start
+        if start - 2 * r < since or any(
+                steps[start + i].raised != steps[start - r + i].raised
+                or steps[start + i].raised != steps[start - 2 * r + i].raised
+                for i in range(r)):
+            return None
+        items = 0
+        for s in steps[start:]:
+            items |= s.raised
+        if items.bit_count() != r:
+            return None
+        replay = _round_at(instance, tuple(steps[start:]), step, items)
+        # after a failed try the round must run three more times before
+        # the next one
+        since = None if replay is not None else t
+        return replay
+
+    return plan
+
+
+def _round_at(instance: Instance, round_steps: tuple[AuctionStep, ...],
+              step: AuctionStep, items: int) -> Optional[_Replay]:
+    """The replay of round_steps, one round on at step's price, or None when
+    its demand changed, the memo no longer holds its views, or it breaks
+    before MIN_ROUNDS rounds.
+
+    The empty bundle and the singletons bound the break point for free:
+    where every demanded bundle of player i loses c_i > 0 per round, one
+    that meets U in fewer items catches up within ceil(gap / (c_i - meet))
+    rounds. Past that screen, demand.stable_raises at each position,
+    stopping at the first that is too small.
+    """
+    now = demand.held_demand(instance, step.price_before)
+    first = demand.held_demand(instance, round_steps[0].price_before)
+    if now is None or first is None or now[1] != first[1]:
+        return None
+    q = step.price_before
+    probes = [(0, 0, 0)] + [(1 << j, x, items >> j & 1) for j, x in enumerate(q)]
+    bound = None
+    for v, top, family in zip(instance.players, *now):
+        c = (family[0] & items).bit_count()
+        if any((s & items).bit_count() != c for s in family):
+            return None
+        for mask, price, meet in probes if c else ():
+            if meet < c:
+                k = 1 - (v.table[mask] - price - top) // (c - meet)
+                bound = k if bound is None or k < bound else bound
+    if bound is not None and bound < MIN_ROUNDS:
+        return None
+    rounds, families = None, []
+    for s in round_steps:
+        held = demand.held_demand(instance, s.price_before)
+        if held is None:
+            return None
+        k = demand.stable_raises(instance, s.price_before, items)
+        if k is not None:
+            if k < MIN_ROUNDS:
+                return None
+            rounds = k if rounds is None or k < rounds else rounds
+        families.append(held[1])
+    r = len(round_steps)
+    falls = tuple(sum((f[0] & items).bit_count() for f in fams) - r
+                  for fams in families)
+    return _Replay(round_steps, falls, tuple(families), items, 1,
+                   rounds or iteration_cap(instance))
 
 
 def _obstacle_rule(policy: Policy) -> RaiseRule:
@@ -160,13 +328,14 @@ def _minimizer_rule(instance: Instance, p: Prices):
 def gul_stacchetti(instance: Instance) -> AuctionTrace:
     """Raise the whole minimal over-demanded set each step, in long steps."""
     return _ascend(instance, "gs", _obstacle_rule(lambda ob, p, t: ob.bundle),
-                   long_steps=True)
+                   _long_step)
 
 
 def fine_auction(instance: Instance) -> AuctionTrace:
     """Raise only the smallest-index item of the over-demanded set."""
     return _ascend(instance, "fine",
-                   _obstacle_rule(lambda ob, p, t: ob.bundle & -ob.bundle))
+                   _obstacle_rule(lambda ob, p, t: ob.bundle & -ob.bundle),
+                   _round_replay())
 
 
 def run_with_policy(instance: Instance, policy: Policy,

@@ -19,7 +19,7 @@ minimal_minimizer returns the smallest bundle whose unit raise minimizes the
 Lyapunov function. On gross-substitutes input the two coincide step for step,
 which the auction engines exploit and the tests verify. stable_raises counts
 the unit raises of a set that leave every demand family as it is, so the
-gs engine can take them without a view for each.
+gs and fine engines can take them without a view for each.
 
 Demand, D*(p) and the overlaps enumerate all 2**m bundles per player, and
 the obstacle all 2**m excess values. Three quantities are sweeps instead,
@@ -70,9 +70,9 @@ bundles, or that fails the test, is scanned from its value table again, by
 the same code and budget checks as a full build. The overlap rows are
 read-only uint8 arrays shared between views: a shifted row recomputes its
 overlaps only when D* lost a member, and the excess is the base's plus the
-change in the rows that did. On the benchmark's deep markets the fine
-auction's raise meets about a quarter of the players' demand, and about
-three in ten of those rows are scanned again.
+change in the rows that did. On the benchmark's deep markets a view the
+fine auction builds redoes about a quarter of the players' rows, and
+about a third of those are scanned again.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
-    DEFAULT_OP_BUDGET, BudgetExceeded, Instance, Prices, Valuation, env_budget,
-    lex_key, popcount, price_of,
+    DEFAULT_OP_BUDGET, BudgetExceeded, Instance, Prices, Valuation, check_index,
+    env_budget, lex_key, popcount, price_of,
 )
 
 
@@ -373,6 +373,13 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
     return view
 
 
+def _held(owner, prices: Prices) -> Optional[_MarketView]:
+    """The memo's view of owner at prices, if it holds one, read without
+    making it the view returned last."""
+    held, views, _, _ = _memo
+    return views.get(tuple(prices)) if held is owner else None
+
+
 def _market(instance: Instance, prices: Prices) -> _MarketView:
     return _view(instance, instance.players, instance.m, prices)
 
@@ -436,11 +443,13 @@ def demand_reports(instance: Instance, prices: Prices) -> tuple[DemandReport, ..
 
 def min_demand_overlap(v: Valuation, prices: Prices, bundle: int) -> int:
     """Smallest |D & bundle| over the minimal demand family D*(p)."""
+    check_index("bundle", bundle, 1 << v.m, v.m)
     return int(_view(v, (v,), v.m, prices).overlap[0][bundle])
 
 
 def excess_demand(instance: Instance, prices: Prices, bundle: int) -> int:
     """Sum of unavoidable overlaps with the bundle minus the bundle size."""
+    check_index("bundle", bundle, 1 << instance.m, instance.m)
     view = _market(instance, prices)
     return int(view.excess[bundle])
 
@@ -493,9 +502,12 @@ def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[i
     player's demanded bundles meet R in different numbers, only those
     meeting it least stay demanded after one raise: k* is 1, found from the
     demand families alone. Otherwise one pass over the n * 2**m utilities,
-    grouped by their bundle's overlap with R.
+    grouped by their bundle's overlap with R. A view the memo holds is read
+    without making it the one returned last, so the auction loop may ask
+    about prices it has left behind and still build its next view from the
+    current one.
     """
-    view = _market(instance, prices)
+    view = _held(instance, prices) or _market(instance, prices)
     held = []
     for demand in view.demand:
         c = popcount(demand[0] & raised)
@@ -519,11 +531,20 @@ def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[i
     return int(min(found))
 
 
+def held_demand(instance: Instance, prices: Prices
+                ) -> Optional[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """Each player's best utility and demand family at prices, the tuples of
+    the view the memo holds there, or None when it holds none. Builds no
+    view and leaves the memo as it is."""
+    view = _held(instance, prices)
+    return None if view is None else (view.utility, view.demand)
+
+
 def demand_families(instance: Instance, prices: Prices) -> tuple[tuple[int, ...], ...]:
     """Each player's demand family at prices, straight from the value tables.
 
     Reads no view and stores none, so it checks the views independently:
-    the auction loop uses it to confirm the last price of a long step.
+    the auction loop uses it to confirm the last prices of a replay.
     """
     util = _utilities(instance.players, prices)
     hit = util == util.max(axis=1, keepdims=True)

@@ -74,6 +74,14 @@ def iter_items(mask: int) -> Iterable[int]:
         mask ^= low
 
 
+def check_index(what: str, value: int, size: int, m: int) -> None:
+    """Reject an item index (size m) or a bundle mask (size 2**m) of an
+    m-item market outside 0 .. size - 1, naming the argument and m: a
+    negative one would otherwise wrap around a table or a numpy row."""
+    if not 0 <= value < size:
+        raise ValueError(f"{what} must be in 0..{size - 1} for m = {m}, got {value}")
+
+
 def lex_key(mask: int) -> tuple[int, ...]:
     """Sort key realizing 'lexicographically smallest bundle by item order'."""
     return tuple(iter_items(mask))

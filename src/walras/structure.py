@@ -27,8 +27,8 @@ import numpy as np
 from . import demand
 from .model import (
     DEFAULT_GRID_BUDGET, BudgetExceeded, Instance, InvariantViolation, Prices,
-    Valuation, add_indicator, dominated, env_budget, iter_items, is_submodular,
-    first_monotonicity_violation, popcount,
+    Valuation, add_indicator, check_index, dominated, env_budget, iter_items,
+    is_submodular, first_monotonicity_violation, popcount,
 )
 
 DEFAULT_SEARCH_BUDGET = 200_000
@@ -232,6 +232,7 @@ def classify_transition(v: Valuation, prices: Prices, item: int) -> TransitionRe
     item swapped for another. Anything else raises UnclassifiableTransition,
     which cannot happen on substitutes input.
     """
+    check_index("item", item, v.m, v.m)
     prices = tuple(prices)
     bit = 1 << item
     before = demand.demand_sets(v, prices).minimal_demand
@@ -322,6 +323,8 @@ def decreasing_marginal_reports(instance: Instance, prices: Prices
 def check_decreasing_marginal(instance: Instance, prices: Prices,
                               x: int, y: int) -> MarginalReport:
     """Lyapunov submodularity across two distinct items, symmetric in them."""
+    check_index("item x", x, instance.m, instance.m)
+    check_index("item y", y, instance.m, instance.m)
     if x == y:
         raise ValueError("items must be distinct")
     return decreasing_marginal_reports(instance, prices)[min(x, y), max(x, y)]

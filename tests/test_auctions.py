@@ -217,8 +217,9 @@ def test_demand_families_match_the_views():
             r.demand for r in demand.demand_reports(inst, p))
 
 
-def unit_step_gs(instance):
-    """The unit-step gs loop the long steps replace, kept as the reference."""
+def unit_step(instance, algorithm, pick):
+    """The unit-step loop that gs's long steps and fine's replays replace,
+    kept as the reference: pick chooses the raise from the obstacle."""
     cap = auctions.iteration_cap(instance)
     p = instance.zero_prices()
     steps, anomalies = [], []
@@ -226,20 +227,29 @@ def unit_step_gs(instance):
     while True:
         ob = demand.over_demanded_set(instance, p)
         if ob.excess <= 0:
-            return auctions.AuctionTrace("gs", tuple(steps), p, True, False,
+            return auctions.AuctionTrace(algorithm, tuple(steps), p, True, False,
                                          tuple(anomalies))
         if len(steps) >= cap:
             anomalies.append(f"iteration cap {cap} hit")
-            return auctions.AuctionTrace("gs", tuple(steps), p, False, True,
+            return auctions.AuctionTrace(algorithm, tuple(steps), p, False, True,
                                          tuple(anomalies))
-        f_val = demand.excess_demand(instance, p, ob.bundle)
-        steps.append(auctions.AuctionStep(len(steps), p, ob.bundle, lyap, f_val,
+        raised = pick(ob.bundle)
+        f_val = demand.excess_demand(instance, p, raised)
+        steps.append(auctions.AuctionStep(len(steps), p, raised, lyap, f_val,
                                           ob.unique))
-        p = model.add_indicator(p, ob.bundle)
+        p = model.add_indicator(p, raised)
         new_lyap = demand.lyapunov(instance, p)
         if new_lyap > lyap:
             anomalies.append(f"lyapunov rose at step {len(steps) - 1}")
         lyap = new_lyap
+
+
+def unit_step_gs(instance):
+    return unit_step(instance, "gs", lambda bundle: bundle)
+
+
+def unit_step_fine(instance):
+    return unit_step(instance, "fine", lambda bundle: bundle & -bundle)
 
 
 MARKETS = {
@@ -267,13 +277,19 @@ def test_long_steps_equal_unit_steps(kind, seed, cut):
         assert capped == unit_step_gs(inst)
 
 
+def deep_style_market():
+    """A seeded unit-demand market like the benchmark's deep ones: 9 buyers,
+    6 items worth 512..1024 each."""
+    rng = random.Random(2016)
+    return make_instance([f"i{j}" for j in range(6)], [
+        make_unit_demand([rng.randint(512, 1024) for _ in range(6)])
+        for _ in range(9)])
+
+
 def test_long_steps_build_few_views(monkeypatch):
     # a deep-style unit-demand market: about 1,000 unit steps, but a view
     # only where some player's demand changes
-    rng = random.Random(2016)
-    inst = make_instance([f"i{j}" for j in range(6)], [
-        make_unit_demand([rng.randint(512, 1024) for _ in range(6)])
-        for _ in range(9)])
+    inst = deep_style_market()
     built = set()
     view = demand._view
 
@@ -289,14 +305,110 @@ def test_long_steps_build_few_views(monkeypatch):
     assert trace == unit_step_gs(inst)
 
 
+def wide_unit_demand_instance(rng):
+    """Unit-demand buyers valuing items up to 1024: runs long enough for
+    fine's rounds to repeat, where the vmax-8 corpora stop too soon."""
+    m, n = rng.randint(1, 3), rng.randint(2, 4)
+    return make_instance([f"i{j}" for j in range(m)], [
+        make_unit_demand([rng.randint(0, 1024) for _ in range(m)]) for _ in range(n)])
+
+
+def wide_monotone_instance(rng):
+    """Monotone tables with values up to 1024, usually not gross substitutes."""
+    m, n = rng.randint(1, 3), rng.randint(2, 4)
+    players = []
+    for _ in range(n):
+        table = [0] * (1 << m)
+        for s in range(1, 1 << m):
+            floor = max(table[s & ~(1 << j)] for j in range(m) if s >> j & 1)
+            table[s] = min(1024, floor + rng.choice((0, rng.randint(1, 512))))
+        players.append(make_table(m, table))
+    return make_instance([f"i{j}" for j in range(m)], players)
+
+
+FINE_MARKETS = {**MARKETS, "wide_unit": wide_unit_demand_instance,
+                "wide_monotone": wide_monotone_instance}
+
+
+def copied_spans(run, inst):
+    """The engine's trace and the [begin, end) ranges of the steps it
+    appended without a view of their own."""
+    spans = []
+    real = auctions._append_rounds
+
+    def spy(steps, anomalies, replay, lyap, cap):
+        begin = len(steps)
+        out = real(steps, anomalies, replay, lyap, cap)
+        spans.append((begin, len(steps)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(auctions, "_append_rounds", spy)
+        return run(inst), spans
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(FINE_MARKETS)), st.integers(0, 2 ** 32 - 1),
+       st.floats(0, 1))
+def test_round_replays_equal_unit_steps(kind, seed, cut):
+    inst = FINE_MARKETS[kind](random.Random(seed))
+    full = unit_step_fine(inst)
+    trace, spans = copied_spans(auctions.fine_auction, inst)
+    assert trace == full
+    if len(full.steps) < 2:
+        return
+    # a cap inside a replay when there was one, so that it cuts the copies
+    if spans:
+        begin, end = spans[int(cut * (len(spans) - 1))]
+        cap = begin + 1 + int(cut * (end - begin - 1))
+    else:
+        cap = 1 + int(cut * (len(full.steps) - 2))
+    cap = min(cap, len(full.steps) - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(auctions, "iteration_cap", lambda instance: cap)
+        capped = auctions.fine_auction(inst)
+        assert capped.iteration_cap_hit and len(capped.steps) == cap
+        assert capped == unit_step_fine(inst)
+
+
+def test_wide_markets_replay_rounds():
+    # the hypothesis test above meets few replays on the vmax-8 corpora;
+    # here every kind of wide market must replay, and match step for step
+    rng = random.Random(1024)
+    for make in (wide_unit_demand_instance, wide_monotone_instance):
+        copied = 0
+        for _ in range(8):
+            inst = make(rng)
+            trace, spans = copied_spans(auctions.fine_auction, inst)
+            assert trace == unit_step_fine(inst)
+            copied += sum(end - begin for begin, end in spans)
+        assert copied > 1000, make.__name__
+
+
+def test_fine_replays_build_few_views(monkeypatch):
+    # over 5,000 fine steps on the market where gs takes long steps, nearly
+    # all of them copies of a round that repeats
+    inst = deep_style_market()
+    built = set()
+    view = demand._view
+
+    def counting(owner, players, m, prices):
+        built.add((id(owner), tuple(prices)))
+        return view(owner, players, m, prices)
+
+    monkeypatch.setattr(demand, "_view", counting)
+    trace = auctions.fine_auction(inst)
+    assert trace.terminated and len(trace.steps) > 5000
+    assert len(built) < len(trace.steps) / 10
+    monkeypatch.setattr(demand, "_view", view)
+    assert trace == unit_step_fine(inst)
+
+
 def test_fine_rebuilds_only_the_rows_its_raise_meets(monkeypatch):
     # fine raises one item per step, and a view built from the one before
     # redoes only the rows of the players whose demand meets that item;
     # most of those rows it shifts, and only the rest rescan a value table
-    rng = random.Random(2016)
-    inst = make_instance([f"i{j}" for j in range(6)], [
-        make_unit_demand([rng.randint(512, 1024) for _ in range(6)])
-        for _ in range(9)])
+    inst = deep_style_market()
     built, calls = set(), {"_shift": 0, "_row": 0}
     stale = rescans = 0
     view = demand._view
@@ -330,14 +442,25 @@ def test_fine_rebuilds_only_the_rows_its_raise_meets(monkeypatch):
 
 
 def test_unit_step_engines_never_take_long_steps(monkeypatch):
+    # ausubel's rule reads utilities outside the demand families, and a
+    # policy reads the price, the step index and its own random state, so
+    # neither may skip a step; fine replays rounds (on this market, whose
+    # one-item round repeats for 40 steps, it does)
+    inst = make_instance(["x"], [make_unit_demand((40,)), make_unit_demand((40,))])
+    calls = []
+    real = demand.stable_raises
+    monkeypatch.setattr(demand, "stable_raises",
+                        lambda *args: calls.append(args) or real(*args))
+    auctions.fine_auction(inst)
+    assert calls
+
     def refuse(*args):
         raise AssertionError("stable_raises called")
 
     monkeypatch.setattr(demand, "stable_raises", refuse)
-    inst = two_buyers_one_item()
-    auctions.fine_auction(inst)
-    auctions.ausubel_ascending(inst)
-    auctions.run_with_policy(inst, auctions.seeded_policy(3))
+    for market in (two_buyers_one_item(), inst):
+        auctions.ausubel_ascending(market)
+        auctions.run_with_policy(market, auctions.seeded_policy(3))
 
 
 def test_lyapunov_falls_by_at_most_the_excess(monkeypatch):
@@ -376,3 +499,36 @@ def test_overstated_break_point_survives_python_O():
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_overstated_round_break_point_survives_python_O():
+    # fine's replays check the last copied price of every position of the
+    # round against round 0's demand, from the raw value tables, so one
+    # round too many fails there, also where an assert would vanish
+    code = textwrap.dedent("""
+        import random
+        import sys
+        import walras
+        from walras import auctions, demand
+        from walras.model import make_instance, make_unit_demand
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        rng = random.Random(2016)
+        inst = make_instance([f"i{j}" for j in range(6)], [
+            make_unit_demand([rng.randint(512, 1024) for _ in range(6)])
+            for _ in range(9)])
+        assert auctions.fine_auction(inst).terminated
+        real = demand.stable_raises
+        demand.stable_raises = lambda inst, p, r: real(inst, p, r) + 1
+        try:
+            trace = auctions.fine_auction(inst)
+        except walras.InvariantViolation as e:
+            sys.exit(0 if "round 0" in str(e) else f"wrong check: {e}")
+        sys.exit(f"no InvariantViolation, trace of {len(trace.steps)} steps")
+    """)
+    src = str(Path(walras.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr + out.stdout

@@ -615,3 +615,24 @@ def test_minimal_filter_stops_at_the_budget(monkeypatch, regime, m, family,
     # at exactly |family| * |D*| comparisons the whole filter fits
     monkeypatch.setattr(demand, "DEFAULT_OP_BUDGET", len(family) * m)
     assert minimal_members(family) == tuple(1 << j for j in range(m))
+
+
+@pytest.mark.parametrize("bundle", [-1, -8, 8, 9])
+def test_min_demand_overlap_rejects_a_bundle_outside_the_market(bundle):
+    # a negative mask used to wrap around the overlap row and read the full
+    # bundle's entry, and 2**m raised numpy's bare IndexError
+    v = make_unit_demand((3, 1, 2))
+    with pytest.raises(ValueError, match=rf"bundle must be in 0\.\.7 for m = 3, got {bundle}"):
+        demand.min_demand_overlap(v, (0, 0, 0), bundle)
+    assert demand.min_demand_overlap(v, (0, 0, 0), 7) == 1
+
+
+@pytest.mark.parametrize("bundle", [-1, -2, 2, 3])
+def test_excess_demand_rejects_a_bundle_outside_the_market(monkeypatch, bundle):
+    inst = two_buyers_one_item()
+    # the check comes before any market view is built
+    monkeypatch.setattr(demand, "_market", None)
+    with pytest.raises(ValueError, match=rf"bundle must be in 0\.\.1 for m = 1, got {bundle}"):
+        demand.excess_demand(inst, (0,), bundle)
+    monkeypatch.undo()
+    assert demand.excess_demand(inst, (0,), 1) == 1

@@ -345,3 +345,21 @@ def test_generated_truncations_are_members(seed):
     v = conftest.random_ggs2_valuation(rng, rng.randint(2, 3), rng.randint(1, 5))
     cap = v.table[-1]
     assert structure.is_ggs_member(v, 2, cap).member
+
+
+@pytest.mark.parametrize("x, y, name, bad", [(0, 5, "item y", 5), (-1, 1, "item x", -1),
+                                             (2, 0, "item x", 2)])
+def test_decreasing_marginal_rejects_items_outside_the_market(monkeypatch, x, y, name, bad):
+    # used to raise KeyError (0, 5), and only after the full sweep
+    inst = make_instance(["a", "b"], [make_unit_demand((3, 2))] * 2)
+    monkeypatch.setattr(demand, "lyapunov_after_raise", None)
+    with pytest.raises(ValueError, match=rf"{name} must be in 0\.\.1 for m = 2, got {bad}"):
+        structure.check_decreasing_marginal(inst, (0, 0), x, y)
+
+
+@pytest.mark.parametrize("item", [-1, 3])
+def test_classify_transition_rejects_an_item_outside_the_market(monkeypatch, item):
+    # -1 used to fail inside the shift as "negative shift count"
+    monkeypatch.setattr(demand, "demand_sets", None)
+    with pytest.raises(ValueError, match=rf"item must be in 0\.\.2 for m = 3, got {item}"):
+        structure.classify_transition(make_unit_demand((2, 2, 2)), (0, 0, 0), item)
