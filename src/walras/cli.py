@@ -165,7 +165,14 @@ def _check_matroid(instance: Instance) -> list[dict]:
 def _check_lemmas(instance: Instance) -> list[dict]:
     findings = []
     m = instance.m
-    for p in _price_battery(instance):
+    battery = _price_battery(instance)
+    # each (price, player, bundle) gets the utility-drop and distance checks
+    checks = len(battery) * instance.n << m
+    budget = env_budget(DEFAULT_OP_BUDGET)
+    if checks > budget:
+        raise BudgetExceeded(f"check lemmas needs {checks} (price, player, bundle) "
+                             f"checks, budget {budget}")
+    for p in battery:
         for i, v in enumerate(instance.players):
             base_u = demand.demand_sets(v, p).utility
             raised = demand.utilities_after_raise((v,), p)[0]

@@ -10,6 +10,22 @@ values are kept at desk scale.
 All values and prices are integers. Rational inputs are rejected rather
 than scaled.
 
+Building a valuation checks it as it loads. make_table checks the
+table's length and the type of every entry (int, not bool); the
+additive and unit-demand constructors fill their tables by doubling;
+make_truncation fills its table and checks it monotone and submodular;
+and instance_from_json also runs validate on every player: zero on the
+empty bundle, every value in 0..vmax, and no value drop along a one-item
+step. The checks make no Python call per entry: the type check is one
+pass over the entries' types, the range check a min and a max, and the
+monotonicity scan a numpy pass from ARRAY_SCAN_MIN (2**6) entries. The
+unit-demand fill is a numpy pass from ARRAY_FILL_MIN (2**10) entries;
+the additive and truncation fills stay list loops. Below those sizes
+numpy's fixed cost per call is the larger one. The numpy passes run on
+int64 while values stay below 2**61 and on Python integers past that.
+Reading a JSON table player still parses and checks its bundle keys one
+at a time.
+
 The error types shared by every module live here too, with two of the
 three enumeration budgets: DEFAULT_OP_BUDGET in steps, entries or nodes,
 and DEFAULT_GRID_BUDGET in grid points or entries (structure keeps the
@@ -25,6 +41,8 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 MAX_ITEMS = 20
 DEFAULT_VMAX = 64
@@ -129,7 +147,6 @@ class Valuation:
 
     @cached_property
     def np_table(self):
-        import numpy as np
         arr = np.asarray(self.table, dtype=np.int64)
         arr.setflags(write=False)
         return arr
@@ -147,11 +164,43 @@ def _check_item_count(m: int) -> None:
         raise ModelError(f"item count must be in 1..{MAX_ITEMS}, got {m}")
 
 
+# Smaller tables fill and scan in plain Python, where numpy's fixed cost
+# per call is most of the work. Measured on a shared 2-vCPU machine, the
+# unit-demand fill breaks even with numpy at about 2**10 entries (m = 10),
+# and the monotonicity scan at about 2**5, with numpy twice as fast at 2**6.
+ARRAY_FILL_MIN = 1 << 10
+ARRAY_SCAN_MIN = 1 << 6
+
+
+def _int_dtype(lo: int, hi: int):
+    """int64 for values in lo .. hi when they and any sum of two fit in it,
+    else object, which keeps Python integers."""
+    return np.int64 if -(1 << 61) <= lo and hi < 1 << 61 else object
+
+
+def _int_array(table: Sequence[int]) -> np.ndarray:
+    return np.asarray(table, dtype=_int_dtype(min(table), max(table)))
+
+
+def _first_non_int(values: Sequence) -> Optional[int]:
+    """Index of the first value _require_int rejects, or None, from one pass
+    over the values' types."""
+    rejected = [t for t in set(map(type, values)) if t is bool or not issubclass(t, int)]
+    if not rejected:
+        return None
+    types = list(map(type, values))
+    return min(map(types.index, rejected))
+
+
 def _check_table_shape(m: int, table: Sequence[int]) -> tuple[int, ...]:
     _check_item_count(m)
     if len(table) != 1 << m:
         raise ModelError(f"table must have {1 << m} entries, got {len(table)}")
-    return tuple(_require_int(x, "valuation value") for x in table)
+    table = tuple(table)
+    bad = _first_non_int(table)
+    if bad is not None:
+        _require_int(table[bad], "valuation value")
+    return table
 
 
 def make_table(m: int, table: Sequence[int]) -> Valuation:
@@ -187,22 +236,47 @@ def make_additive(singletons: Sequence[int]) -> Valuation:
 def make_unit_demand(singletons: Sequence[int]) -> Valuation:
     """Unit-demand valuation: a bundle is worth its best single item."""
     vals = _check_singletons(singletons)
-    table = [0]
-    for x in vals:
-        table += [t if t > x else x for t in table]
-    return Valuation(m=len(vals), table=tuple(table), class_tag="unit_demand",
+    m = len(vals)
+    if 1 << m >= ARRAY_FILL_MIN:
+        # one ufunc call fills each half
+        arr = np.zeros(1 << m, dtype=_int_dtype(0, max(vals)))
+        for j, x in enumerate(vals):
+            np.maximum(arr[:1 << j], x, out=arr[1 << j:2 << j])
+        table = arr.tolist()
+    else:
+        table = [0]
+        for x in vals:
+            table += [t if t > x else x for t in table]
+    return Valuation(m=m, table=tuple(table), class_tag="unit_demand",
                      singletons=vals)
 
 
 def first_monotonicity_violation(table: Sequence[int], m: int) -> Optional[tuple[int, int]]:
+    """The first (mask, mask | 2**j) whose value drops, in mask-then-item
+    order, or None when the table is monotone."""
     # one-item steps suffice: monotone along edges implies monotone on chains
-    for mask in range(1 << m):
-        for j in range(m):
-            if mask & (1 << j):
-                continue
-            if table[mask] > table[mask | (1 << j)]:
-                return (mask, mask | (1 << j))
-    return None
+    if len(table) < ARRAY_SCAN_MIN:
+        for mask in range(1 << m):
+            for j in range(m):
+                if mask & (1 << j):
+                    continue
+                if table[mask] > table[mask | (1 << j)]:
+                    return (mask, mask | (1 << j))
+        return None
+    # as a (2**(m-j-1), 2, 2**j) array the table's two middle slices are the
+    # bundles without item j and the same bundles with it; each item's
+    # first drop in mask order is one argmax, and the least mask wins
+    t = _int_array(table)
+    first = None
+    for j in range(m):
+        halves = t.reshape(-1, 2, 1 << j)
+        drops = halves[:, 0] > halves[:, 1]
+        i = int(drops.argmax())
+        if drops.flat[i]:
+            mask = (i >> j << (j + 1)) | (i & ((1 << j) - 1))
+            if first is None or mask < first[0]:
+                first = (mask, mask | (1 << j))
+    return first
 
 
 def is_submodular(table: Sequence[int], m: int) -> bool:
@@ -210,9 +284,7 @@ def is_submodular(table: Sequence[int], m: int) -> bool:
     # comparison per item pair over every S, on the table as a 2 x ... x 2
     # array whose first m axes are the items (the last one keeps the
     # compared slices arrays when m = 2)
-    import numpy as np
-    small = -(1 << 61) <= min(table) and max(table) < 1 << 61
-    t = np.asarray(table, dtype=np.int64 if small else object).reshape((2,) * m + (1,))
+    t = _int_array(table).reshape((2,) * m + (1,))
     for a in range(m):
         for b in range(a + 1, m):
             v = t.swapaxes(0, a).swapaxes(1, b)
@@ -260,11 +332,11 @@ def validate(v: Valuation, vmax: int = DEFAULT_VMAX) -> Optional[Violation]:
     """
     if v.table[0] != 0:
         return Violation("empty set nonzero", (0,))
-    for mask, x in enumerate(v.table):
-        if x < 0:
-            return Violation("negative value", (mask,))
-        if x > vmax:
-            return Violation("value above cap", (mask,))
+    if min(v.table) < 0 or v.vmax > vmax:
+        t = _int_array(v.table)
+        mask = int(((t < 0) | (t > vmax)).argmax())
+        kind = "negative value" if v.table[mask] < 0 else "value above cap"
+        return Violation(kind, (mask,))
     bad = first_monotonicity_violation(v.table, v.m)
     if bad is not None:
         return Violation("not monotone", bad)
@@ -311,7 +383,9 @@ class Instance:
     def n(self) -> int:
         return len(self.players)
 
-    @property
+    # cached here rather than per valuation: a second cached attribute
+    # next to np_table would cost each valuation an unshared __dict__
+    @cached_property
     def vmax(self) -> int:
         return max(v.vmax for v in self.players)
 

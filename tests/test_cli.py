@@ -334,6 +334,22 @@ def test_check_gs_reports_the_budget(capsys, two_path, monkeypatch):
     assert "budget 10" in payload["violations"][0]["detail"]
 
 
+def test_check_lemmas_counts_its_checks_against_the_budget(capsys, two_path,
+                                                           monkeypatch):
+    # two players over one item: each battery price checks 2 * 2**1 bundles
+    battery = cli._price_battery(model.instance_from_json(Path(two_path).read_text()))
+    checks = len(battery) * 4
+    monkeypatch.setenv("WALRAS_BUDGET", str(checks - 1))
+    assert cli.main(["check", "lemmas", "--instance", two_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: check lemmas needs {checks} (price, player, bundle) "
+                            f"checks, budget {checks - 1}\n")
+    monkeypatch.setenv("WALRAS_BUDGET", str(checks))
+    code, payload = run_cli(capsys, "check", "lemmas", "--instance", two_path)
+    assert code == 0 and payload["ok"]
+
+
 def deep_truncation(levels):
     obj = {"type": "unit_demand", "values": {"x": 1}}
     for _ in range(levels):
