@@ -13,10 +13,9 @@ from .model import (
     instance_from_json, instance_to_json, prices_from_json, prices_to_json,
 )
 from .demand import (
-    DemandReport, ObstacleReport, MinimizerReport, DescentStep,
+    DemandReport, ObstacleReport, MinimizerReport,
     utility, demand_sets, demand_reports, min_demand_overlap, excess_demand,
     over_demanded_set, lyapunov, minimal_minimizer, minimal_minimizer_report,
-    lyapunov_descent,
 )
 from .oracle import (
     WelfareResult, WalrasianCertificate, MinimalPriceReport, BudgetExceeded,

@@ -22,12 +22,11 @@ the unit raises of a set that leave every demand family as it is, so the
 gs and fine engines can take them without a view for each.
 
 Demand, D*(p) and the overlaps enumerate all 2**m bundles per player, and
-the obstacle all 2**m excess values. Three quantities are sweeps instead,
-all one (max,+) pass per item over the subset lattice (_raise_sweep): the
-Lyapunov values after every unit raise p + 1_S (n * m * 2**m steps), after
-every move p + 1_S - 1_T (about 3 * n * 3**m steps, within the op budget),
-and, for oracle.minimal_walrasian_price, at every point of a price grid
-(about twice the grid size per player). Every price grid has the layout
+the obstacle all 2**m excess values. Two quantities are sweeps instead,
+both one (max,+) pass per item over the subset lattice (_raise_sweep): the
+Lyapunov values after every unit raise p + 1_S (n * m * 2**m steps) and,
+for oracle.minimal_walrasian_price, at every point of a price grid (about
+twice the grid size per player). Every price grid has the layout
 that sweep leaves, item 0 fastest, and only this module knows it: a grid
 vector's reshape(radix, order="F") is an array whose axis j is item j.
 A view's two super-linear steps, the minimal filter (|D| * |D*|
@@ -87,7 +86,7 @@ import numpy as np
 
 from .model import (
     DEFAULT_OP_BUDGET, BudgetExceeded, Instance, Prices, Valuation, check_index,
-    env_budget, lex_key, popcount, price_of,
+    lex_key, popcount, price_of,
 )
 
 
@@ -417,22 +416,16 @@ class MinimizerReport:
     unique: bool
 
 
-@dataclass(frozen=True)
-class DescentStep:
-    raise_bundle: int
-    lower_bundle: int
-    lyapunov_after: int
-
-
 def utility(v: Valuation, prices: Prices, bundle: int) -> int:
     """v(S) minus the price of S."""
     return v.table[bundle] - price_of(prices, bundle)
 
 
-def demand_sets(v: Valuation, prices: Prices, player: int = 0) -> DemandReport:
-    """Full and minimal demand families of one valuation, by enumeration."""
+def demand_sets(v: Valuation, prices: Prices) -> DemandReport:
+    """Full and minimal demand families of one valuation, by enumeration,
+    reported as player 0."""
     view = _view(v, (v,), v.m, prices)
-    return DemandReport(player, view.utility[0], view.demand[0], view.minimal[0])
+    return DemandReport(0, view.utility[0], view.demand[0], view.minimal[0])
 
 
 def demand_reports(instance: Instance, prices: Prices) -> tuple[DemandReport, ...]:
@@ -584,36 +577,3 @@ def minimal_minimizer_report(instance: Instance, prices: Prices) -> MinimizerRep
 def minimal_minimizer(instance: Instance, prices: Prices) -> int:
     return minimal_minimizer_report(instance, prices).bundle
 
-
-def lyapunov_descent(instance: Instance, prices: Prices) -> Optional[DescentStep]:
-    """Detect a strict Lyapunov decrease among moves p + 1_S - 1_T.
-
-    Covers all disjoint bundle pairs with T supported on positive prices in
-    one three-option sweep of n * 3**m entries, checked against the op
-    budget. Returns the best strictly improving move, or None at a local
-    (hence, for substitutes valuations, global) minimum. This is the
-    descending counterpart of minimal_minimizer kept as a detector only.
-    """
-    prices = tuple(prices)
-    m = instance.m
-    budget = env_budget(DEFAULT_OP_BUDGET)
-    if instance.n * 3 ** m > budget:
-        raise BudgetExceeded(
-            f"descent scan needs {instance.n * 3 ** m} entries, budget {budget}")
-    util = _utilities(instance.players, prices)
-    base = int(util.max(axis=1).sum()) + sum(prices)
-    # option 0 keeps item j's price, 1 raises it, 2 lowers it if positive;
-    # move 0 gives base, so it never wins
-    options = [(0, -1, 1) if x > 0 else (0, -1) for x in prices]
-    after = _raise_sweep(util, options).sum(axis=0)
-    after += _grid_sum([(0, 1, -1)[:len(o)] for o in options]) + sum(prices)
-    low = int(after.min())
-    if low >= base:
-        return None
-    # first minimizer in the order smallest lowered set, then largest raised set
-    shape = [len(o) for o in options]
-    moves = np.argwhere(after.reshape(shape, order="F") == low)
-    raised, lowered = ((moves == x) @ (1 << np.arange(m)) for x in (1, 2))
-    first = np.lexsort((-raised, lowered))[0]
-    return DescentStep(raise_bundle=int(raised[first]), lower_bundle=int(lowered[first]),
-                       lyapunov_after=low)

@@ -274,11 +274,16 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
     Computes the Lyapunov value at every point of the price grid, one player
     at a time: one (max,+) sweep per item turns the player's value table into
     its best utility at every grid point, in about twice the grid size of
-    steps. Memory is a few grid-sized int64 arrays, never grid x 2**m. The
-    Lyapunov minimizers are exactly the Walrasian prices whenever the
-    minimum equals the maximum welfare. The coordinatewise meet of the
-    minimizers is tried first: when it is itself a minimizer the minimum is
-    unique (the lattice case, guaranteed for gross substitutes). Otherwise
+    steps. The last item with more than one price moves slowest in the
+    grid's layout, so each of its prices is one contiguous slice: the items
+    before it are swept once over the bundles without it and once over
+    those with it, and each slice takes the better of the two. Memory is
+    one grid-sized int64 array plus two slices, at most one more grid,
+    never grid x 2**m. The Lyapunov minimizers are exactly the Walrasian
+    prices whenever the minimum equals the maximum welfare. The
+    coordinatewise meet of the minimizers is tried first: when it is itself
+    a minimizer the minimum is unique (the lattice case, guaranteed for
+    gross substitutes). Otherwise
     the minimizers outside the up-closure of the others are all reported,
     in lexicographic order, and the first is returned. A grid minimum below
     the maximum welfare breaks weak duality and raises InvariantViolation.
@@ -296,9 +301,21 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
     welfare = max_welfare(instance, budget=budget).welfare
     # L at every grid point: the total price plus each player's best utility
     lvals = demand._grid_sum([np.arange(r) for r in radix])
-    options = [-np.arange(r, dtype=np.int64) for r in radix]
+    # the slowest item with more than one price; the grid prices every
+    # item after it at 0, so a bundle takes those free
+    k = max((j for j, r in enumerate(radix) if r > 1), default=0)
+    options = [-np.arange(r, dtype=np.int64) for r in radix[:k]]
     for v in instance.players:
-        lvals += demand._raise_sweep(v.np_table[None, :], options)[0]
+        # best utility over the bundles without item k (out) and with it
+        # (into), then per price x of item k max(out, into - x), updated in
+        # place: max(out, max(out, into - x + 1) - 1) is the same value
+        table = v.np_table.reshape(-1, 2, 1 << k).max(axis=0)
+        out, into = demand._raise_sweep(table, options)
+        for part in lvals.reshape(radix[k], -1):
+            np.maximum(into, out, out=into)
+            part += into
+            into -= 1
+        del out, into       # freed before the next player's sweep
     best = int(lvals.min())
     if best < welfare:
         raise InvariantViolation("Lyapunov value below max welfare on the price grid")

@@ -79,24 +79,20 @@ def gs_witness_holds(v: Valuation, witness: GsWitness) -> bool:
     return True
 
 
-def check_gs_on_grid(v: Valuation, bound: Optional[int] = None,
-                     budget: Optional[int] = None) -> Optional[GsWitness]:
+def check_gs_on_grid(v: Valuation) -> Optional[GsWitness]:
     """Scan the doubled-price grid for a substitutes violation.
 
     Returns None on a clean pass (heuristic evidence) or the first witness
-    in scan order (sound). bound defaults to one past twice the largest
-    value, which covers every price at which demand can still change.
-    The scan holds one utility per grid point and bundle, (bound + 1)**m
-    * 2**m entries, at most budget (default: the grid budget, or
-    WALRAS_BUDGET).
+    in scan order (sound). The grid's bound is fixed at one past twice the
+    largest value, 2 * vmax + 1, which covers every price at which demand
+    can still change. The scan holds one utility per grid point and
+    bundle, (2 * vmax + 2)**m * 2**m entries, at most the grid budget,
+    which WALRAS_BUDGET overrides.
     """
     m = v.m
     doubled = np.asarray(v.table, dtype=np.int64) * 2
-    if bound is None:
-        bound = 2 * v.vmax + 1
-    if budget is None:
-        budget = env_budget(DEFAULT_GRID_BUDGET)
-    radix = bound + 1
+    budget = env_budget(DEFAULT_GRID_BUDGET)
+    radix = 2 * v.vmax + 2
     points = radix ** m
     if points << m > budget:
         raise BudgetExceeded(f"grid scan holds {points << m} entries, budget {budget}")
@@ -142,44 +138,6 @@ def check_gs_on_grid(v: Valuation, bound: Optional[int] = None,
     if not gs_witness_holds(v, witness):
         raise InvariantViolation("grid scan produced a bad witness")
     return witness
-
-
-@dataclass(frozen=True)
-class SiViolation:
-    """A bundle outside the demand family with no single-swap improvement."""
-    prices: Prices
-    bundle: int
-
-
-def check_single_improvement(v: Valuation, prices: Prices) -> Optional[SiViolation]:
-    """Single-improvement test at one price vector.
-
-    For substitutes valuations every non-demanded bundle admits a strictly
-    better bundle reachable by adding at most one item and dropping at most
-    one. Returns the first bundle violating that, or None.
-    """
-    prices = tuple(prices)
-    report = demand.demand_sets(v, prices)
-    in_demand = set(report.demand)
-    m = v.m
-    for s in range(1 << m):
-        if s in in_demand:
-            continue
-        base = demand.utility(v, prices, s)
-        drops = [0] + [1 << j for j in iter_items(s)]
-        adds = [0] + [1 << j for j in range(m) if not s & (1 << j)]
-        improved = False
-        for d in drops:
-            for a in adds:
-                t = (s ^ d) | a
-                if demand.utility(v, prices, t) > base:
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            return SiViolation(prices=prices, bundle=s)
-    return None
 
 
 @dataclass(frozen=True)
@@ -337,8 +295,7 @@ class GgsMembershipReport:
     completion: Optional[tuple[int, ...]]
 
 
-def is_ggs_member(v: Valuation, k: int, cap: int,
-                  budget: Optional[int] = None) -> GgsMembershipReport:
+def is_ggs_member(v: Valuation, k: int, cap: int) -> GgsMembershipReport:
     """Decide membership in the truncation class by completion search.
 
     The valuation must equal cap on every bundle of size k or more and stay
@@ -346,12 +303,12 @@ def is_ggs_member(v: Valuation, k: int, cap: int,
     substitutes valuation agreeing below size k and sitting at or above cap
     from size k up. The search enumerates completions in increasing value
     order, pruning by monotonicity, local submodularity and subadditivity,
-    and certifies candidates with the grid check. budget bounds the search
-    nodes, unset its default, and each grid check takes the grid default;
-    WALRAS_BUDGET overrides both.
+    and certifies candidates with the grid check. The budgets are fixed:
+    the search passes at most DEFAULT_SEARCH_BUDGET nodes and each grid
+    check holds at most the grid budget's entries; WALRAS_BUDGET overrides
+    both.
     """
-    if budget is None:
-        budget = env_budget(DEFAULT_SEARCH_BUDGET)
+    budget = env_budget(DEFAULT_SEARCH_BUDGET)
     m = v.m
     for s in range(1 << m):
         size = popcount(s)

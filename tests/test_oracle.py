@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,18 @@ def all_or_nothing(m, value, players=2):
     return make_instance(list("abcd"[:m]), [whole] * players)
 
 
+def test_grid_sweep_when_the_last_items_have_one_price():
+    # nobody values c alone, so the grid holds c at 0 and is sliced by b's
+    # prices; at bound 0 it holds every item at 0, and the pair is worth
+    # more than either item of it
+    inst = make_instance(["a", "b", "c"], [make_unit_demand(v) for v in (
+        (5, 3, 0), (3, 5, 0), (4, 4, 0))])
+    assert oracle.minimal_walrasian_price(inst) == grid_scan(inst)
+    assert grid_scan(inst).price == (4, 4, 0)
+    for inst, bound in ((inst, 2), (inst, 0), (all_or_nothing(2, 3), 0)):
+        assert oracle.minimal_walrasian_price(inst, bound) == grid_scan(inst, bound)
+
+
 def test_minimal_prices_without_a_lattice_minimum():
     # two players who want only the pair: any prices summing to 1 clear it
     inst = all_or_nothing(2, 1)
@@ -279,6 +292,23 @@ def test_every_minimal_price_comes_back_without_a_lattice_minimum():
     assert list(rep.all_minimal) == sorted(
         p for p in itertools.product(range(45), repeat=4) if sum(p) == 44)
     assert rep.price == (0, 0, 0, 44)
+
+
+def test_grid_sweep_holds_about_one_grid_of_int64(monkeypatch):
+    # 45**4 grid points; sweeping a player's whole table at once held its
+    # best utilities next to the Lyapunov values, two grid-sized arrays
+    monkeypatch.delenv("WALRAS_BUDGET", raising=False)
+    inst = make_instance(list("abcd"), [make_unit_demand(v) for v in (
+        (44, 30, 20, 10), (10, 44, 30, 20), (20, 10, 44, 30), (30, 20, 10, 44),
+        (40, 40, 40, 40))])
+    tracemalloc.start()
+    try:
+        rep = oracle.minimal_walrasian_price(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.price == (40, 40, 40, 40) and rep.unique
+    assert peak < 1.5 * 45 ** 4 * np.dtype(np.int64).itemsize
 
 
 def test_grid_budget_is_checked_before_the_sweep(monkeypatch):
@@ -318,14 +348,10 @@ def test_budget_is_checked_before_the_caches(monkeypatch):
     inst = make_instance(["a", "b"], [make_unit_demand((3, 2)),
                                       make_unit_demand((2, 3))])
     assert oracle.max_welfare(inst).welfare == 6
-    assert demand.lyapunov_descent(inst, (2, 0)) is not None
     monkeypatch.setenv("WALRAS_BUDGET", "1")
     with pytest.raises(oracle.BudgetExceeded,
                        match="welfare DP needs 18 steps, budget 1"):
         oracle.max_welfare(inst)
-    with pytest.raises(oracle.BudgetExceeded,
-                       match="descent scan needs 18 entries, budget 1"):
-        demand.lyapunov_descent(inst, (2, 0))
 
 
 def test_min_walrasian_certifies_under_the_callers_budget(capsys, tmp_path,

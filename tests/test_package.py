@@ -1,0 +1,61 @@
+"""Checks on the package's source: the functions the benchmark names, and
+the names each module imports."""
+
+import ast
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "walras"
+
+
+def benchmark_functions():
+    """(layer, function) for each per-layer metric <layer>.<function>.calls
+    that BENCHMARK.json names."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parts = (m["name"].split(".") for m in spec["per_layer"])
+    return sorted((p[0], p[1]) for p in parts if len(p) == 3 and p[2] == "calls")
+
+
+@pytest.mark.parametrize("layer, name", benchmark_functions())
+def test_benchmark_names_a_public_function(layer, name):
+    # the traced benchmark reports calls and self time only for the plain,
+    # public functions a layer defines, and fails on any name it lacks
+    module = importlib.import_module(f"walras.{layer}")
+    fn = getattr(module, name, None)
+    assert fn is not None, f"BENCHMARK.json names walras.{layer}.{name}, which is gone"
+    assert not name.startswith("_")
+    assert fn.__module__ == module.__name__
+    plain = inspect.unwrap(fn)
+    assert inspect.isfunction(plain) and not inspect.isgeneratorfunction(plain)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement in source that nothing reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_module_reads_every_name_it_imports(path):
+    # __init__.py is exempt: its imports are the package's exports
+    assert unused_imports((PACKAGE / path).read_text()) == []
+
+
+def test_unused_import_check_sees_plain_and_from_imports():
+    source = ("import os\nimport numpy as np\nfrom x import a, b as c\n"
+              "from __future__ import annotations\nprint(np.pi, c)\n")
+    assert unused_imports(source) == ["os", "a"]
