@@ -307,17 +307,15 @@ def cmd_oracle(args) -> int:
         instance = _load_instance(args.instance)
     except (OSError, ModelError) as exc:
         return _fail(f"cannot load instance: {exc}")
-    budget = args.budget
-
     try:
         if args.what == "welfare":
-            res = oracle.max_welfare(instance, budget=budget)
+            res = oracle.max_welfare(instance)
             _emit({"value": res.welfare,
                    "allocation": [instance.label_bundle(b) for b in res.allocation]},
                   args.out)
             return 0
         if args.what == "min-walrasian":
-            rep = oracle.minimal_walrasian_price(instance, budget=budget)
+            rep = oracle.minimal_walrasian_price(instance)
             if rep is None:
                 _emit({"minimal_walrasian_price": None,
                        "note": "no walrasian equilibrium exists"}, args.out)
@@ -332,7 +330,7 @@ def cmd_oracle(args) -> int:
         if not args.price:
             return _fail("envy-free needs --price")
         prices = prices_from_json(args.price, instance)
-        alloc = oracle.envy_free_exists(instance, prices, budget=budget)
+        alloc = oracle.envy_free_exists(instance, prices)
         _emit({"envy_free_allocation": (
             None if alloc is None
             else [instance.label_bundle(b) for b in alloc])}, args.out)
@@ -408,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("what", choices=ORACLE_KINDS)
     p_oracle.add_argument("--instance", required=True)
     p_oracle.add_argument("--price")
-    p_oracle.add_argument("--budget", type=int)
     p_oracle.add_argument("--out")
     p_oracle.set_defaults(func=cmd_oracle)
 

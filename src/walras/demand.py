@@ -418,6 +418,7 @@ class MinimizerReport:
 
 def utility(v: Valuation, prices: Prices, bundle: int) -> int:
     """v(S) minus the price of S."""
+    check_index("bundle", bundle, 1 << v.m, v.m)
     return v.table[bundle] - price_of(prices, bundle)
 
 

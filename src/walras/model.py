@@ -26,12 +26,12 @@ int64 while values stay below 2**61 and on Python integers past that.
 Reading a JSON table player still parses and checks its bundle keys one
 at a time.
 
-The error types shared by every module live here too, with two of the
-three enumeration budgets: DEFAULT_OP_BUDGET in steps, entries or nodes,
-and DEFAULT_GRID_BUDGET in grid points or entries (structure keeps the
-completion search's node budget). Each exhaustive search checks its size
-against its default, which WALRAS_BUDGET overrides, and raises
-BudgetExceeded past it.
+The error types shared by every module live here too, with the three
+enumeration budgets: DEFAULT_OP_BUDGET in steps, entries or nodes,
+DEFAULT_GRID_BUDGET in grid points or entries, and DEFAULT_SEARCH_BUDGET
+in completion-search nodes. Each exhaustive search reads env_budget(its
+default) where it checks its size, so WALRAS_BUDGET is the one override,
+and raises BudgetExceeded past it.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ MAX_ITEMS = 20
 DEFAULT_VMAX = 64
 DEFAULT_OP_BUDGET = 20_000_000
 DEFAULT_GRID_BUDGET = 1 << 22
+DEFAULT_SEARCH_BUDGET = 200_000
 
 
 class ModelError(ValueError):

@@ -4,7 +4,10 @@ Everything here is exhaustive search over explicit tables: welfare by exact
 dynamic programming over item subsets, envy-free allocations by backtracking
 over demand families, Walrasian prices by scanning a price grid (laid out
 by demand, read here by price tuples) for Lyapunov minimizers. The auction
-engines are never consulted; these functions exist to check them.
+engines are never consulted; these functions exist to check them. Each
+search reads its budget from model where it checks its size, the welfare DP
+and the envy-free search the op budget and the price grid the grid budget,
+so WALRAS_BUDGET is the one override and no call takes a budget.
 
 A price vector is Walrasian when some allocation gives every player a bundle
 from its demand family and leaves no positively priced item unallocated. At
@@ -61,17 +64,16 @@ class WalrasianCertificate:
         return self.envy_free and self.coverage and self.bm_equality
 
 
-def max_welfare(instance: Instance, budget: Optional[int] = None) -> WelfareResult:
+def max_welfare(instance: Instance) -> WelfareResult:
     """Exact maximum welfare over all allocations, by subset DP.
 
     The table best[mask] after processing players i..n-1 holds the best
     welfare achievable handing out items from mask, visiting every
     (player, submask) pair once. Exhaustive, so it is the ground truth the
-    engines are compared against. The budget is checked on every call and
-    the result is cached per instance.
+    engines are compared against. The n * 3**m steps are checked against
+    the op budget on every call, and the result is cached per instance.
     """
-    if budget is None:
-        budget = env_budget(DEFAULT_OP_BUDGET)
+    budget = env_budget(DEFAULT_OP_BUDGET)
     m, n = instance.m, instance.n
     if n * (3 ** m) > budget:
         raise BudgetExceeded(f"welfare DP needs {n * 3 ** m} steps, budget {budget}")
@@ -135,18 +137,16 @@ def _submasks_ascending(mask: int) -> list[int]:
     return subs
 
 
-def envy_free_exists(instance: Instance, prices: Prices,
-                     budget: Optional[int] = None) -> Optional[Allocation]:
+def envy_free_exists(instance: Instance, prices: Prices) -> Optional[Allocation]:
     """A disjoint allocation of demanded bundles, or None when impossible.
 
     Deterministic: the first solution in player order with bundles tried
     smallest first. Whether players i.. can complete depends only on i and
     the items already used, so a failed (i, used) state is remembered and
     never expanded again: at most (n + 1) * 2**m nodes. The backtracking
-    counts its nodes against the budget.
+    counts its nodes against the op budget.
     """
-    if budget is None:
-        budget = env_budget(DEFAULT_OP_BUDGET)
+    budget = env_budget(DEFAULT_OP_BUDGET)
     reports = demand.demand_reports(instance, tuple(prices))
     choices = [sorted(r.demand, key=lambda s: (popcount(s), s)) for r in reports]
     n = instance.n
@@ -209,8 +209,7 @@ def _certificate(instance: Instance, prices: Prices, alloc: Allocation,
     )
 
 
-def is_walrasian(instance: Instance, prices: Prices,
-                 budget: Optional[int] = None) -> WalrasianCertificate:
+def is_walrasian(instance: Instance, prices: Prices) -> WalrasianCertificate:
     """Certify a price vector by strong duality.
 
     The Lyapunov value is never below the maximum welfare, and equals it
@@ -219,11 +218,11 @@ def is_walrasian(instance: Instance, prices: Prices,
     certificate. Otherwise the certificate is invalid and carries the first
     envy-free allocation, if any. A Lyapunov value below the welfare, or a
     welfare-maximal allocation failing the check at equality, raises
-    InvariantViolation. The budget bounds the DP and the envy-free search.
+    InvariantViolation.
     """
     prices = tuple(prices)
     lyap = demand.lyapunov(instance, prices)
-    best = max_welfare(instance, budget=budget)
+    best = max_welfare(instance)
     if lyap < best.welfare:
         raise InvariantViolation("Lyapunov value below max welfare")
     if lyap == best.welfare:
@@ -233,7 +232,7 @@ def is_walrasian(instance: Instance, prices: Prices,
                 "Lyapunov equals max welfare but the welfare-maximal "
                 "allocation is not Walrasian")
         return cert
-    plain = envy_free_exists(instance, prices, budget=budget)
+    plain = envy_free_exists(instance, prices)
     return WalrasianCertificate(
         price=prices, allocation=plain, envy_free=plain is not None,
         coverage=False, bm_equality=False, lyapunov=lyap,
@@ -256,54 +255,52 @@ class MinimalPriceReport:
     all_minimal: tuple[Prices, ...]
 
 
-def _coordinate_bounds(instance: Instance, bound: int) -> list[int]:
+def _coordinate_bounds(instance: Instance) -> list[int]:
     # Submodular valuations never demand an item priced above its best
     # singleton value, so a Walrasian price either clears it at 0 or sits
     # below that value. Only sound under submodularity.
     if all(is_submodular(v.table, v.m) for v in instance.players):
-        return [min(bound, max(v.table[1 << j] for v in instance.players))
+        return [max(v.table[1 << j] for v in instance.players)
                 for j in range(instance.m)]
-    return [bound] * instance.m
+    return [instance.vmax] * instance.m
 
 
-def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
-                            budget: Optional[int] = None,
-                            ) -> Optional[MinimalPriceReport]:
-    """Coordinatewise-minimal Walrasian price within [0, bound]^m, or None.
+def minimal_walrasian_price(instance: Instance) -> Optional[MinimalPriceReport]:
+    """Coordinatewise-minimal Walrasian price on the price grid, or None.
 
-    Computes the Lyapunov value at every point of the price grid, one player
-    at a time: one (max,+) sweep per item turns the player's value table into
-    its best utility at every grid point, in about twice the grid size of
-    steps. The last item with more than one price moves slowest in the
-    grid's layout, so each of its prices is one contiguous slice: the items
-    before it are swept once over the bundles without it and once over
-    those with it, and each slice takes the better of the two. Memory is
-    one grid-sized int64 array plus two slices, at most one more grid,
-    never grid x 2**m. The Lyapunov minimizers are exactly the Walrasian
-    prices whenever the minimum equals the maximum welfare. The
-    coordinatewise meet of the minimizers is tried first: when it is itself
-    a minimizer the minimum is unique (the lattice case, guaranteed for
-    gross substitutes). Otherwise
-    the minimizers outside the up-closure of the others are all reported,
-    in lexicographic order, and the first is returned. A grid minimum below
-    the maximum welfare breaks weak duality and raises InvariantViolation.
-    budget bounds the grid points, the welfare DP and the certificate;
-    unset, each takes its own default, which WALRAS_BUDGET overrides.
+    The grid runs each item from 0 to instance.vmax, or to its best
+    singleton value when every player is submodular. The Lyapunov value at
+    every grid point is computed one player at a time: one (max,+) sweep per
+    item turns the player's value table into its best utility at every grid
+    point, in about twice the grid size of steps. The last item with more
+    than one price moves slowest in the grid's layout, so each of its prices
+    is one contiguous slice: the items before it are swept once over the
+    bundles without it and once over those with it, and each slice takes
+    the better of the two. Memory is one grid-sized int64 array plus two
+    slices, at most one more grid, never grid x 2**m. The Lyapunov
+    minimizers are exactly the Walrasian prices whenever the minimum equals
+    the maximum welfare. The coordinatewise meet of the minimizers is tried
+    first: when it is itself a minimizer the minimum is unique (the lattice
+    case, guaranteed for gross substitutes). Otherwise the minimizers
+    outside the up-closure of the others are all reported, in lexicographic
+    order, and the first is returned. A grid minimum below the maximum
+    welfare breaks weak duality and raises InvariantViolation.
+    The grid points count against the grid budget, and the welfare DP and
+    the certificate against the op budget.
     """
-    if bound is None:
-        bound = instance.vmax
-    grid_budget = env_budget(DEFAULT_GRID_BUDGET) if budget is None else budget
-    caps = _coordinate_bounds(instance, bound)
-    radix = tuple(c + 1 for c in caps)
-    if prod(radix) > grid_budget:
-        raise BudgetExceeded(f"price grid has {prod(radix)} points, budget {grid_budget}")
+    radix = tuple(c + 1 for c in _coordinate_bounds(instance))
+    budget = env_budget(DEFAULT_GRID_BUDGET)
+    if prod(radix) > budget:
+        raise BudgetExceeded(f"price grid has {prod(radix)} points, budget {budget}")
 
-    welfare = max_welfare(instance, budget=budget).welfare
-    # L at every grid point: the total price plus each player's best utility
-    lvals = demand._grid_sum([np.arange(r) for r in radix])
+    welfare = max_welfare(instance).welfare
     # the slowest item with more than one price; the grid prices every
     # item after it at 0, so a bundle takes those free
     k = max((j for j, r in enumerate(radix) if r > 1), default=0)
+    # L at every grid point: the total price plus each player's best
+    # utility; items after k add only 0, so _grid_sum skips them and never
+    # holds a second grid-sized partial sum
+    lvals = demand._grid_sum([np.arange(r) for r in radix[:k + 1]])
     options = [-np.arange(r, dtype=np.int64) for r in radix[:k]]
     for v in instance.players:
         # best utility over the bundles without item k (out) and with it
@@ -326,7 +323,7 @@ def minimal_walrasian_price(instance: Instance, bound: Optional[int] = None,
     meet = tuple(int(c.min()) for c in np.nonzero(grid))
     if grid[meet]:
         # at equality the certificate is checked, and raises if it fails
-        is_walrasian(instance, meet, budget=budget)
+        is_walrasian(instance, meet)
         return MinimalPriceReport(price=meet, unique=True, all_minimal=(meet,))
     # no lattice minimum: a minimizer is minimal unless the up-closure of
     # the minimizers holds the point one unit below it along some axis

@@ -26,12 +26,10 @@ import numpy as np
 
 from . import demand
 from .model import (
-    DEFAULT_GRID_BUDGET, BudgetExceeded, Instance, InvariantViolation, Prices,
-    Valuation, add_indicator, check_index, dominated, env_budget, iter_items,
-    is_submodular, first_monotonicity_violation, popcount,
+    DEFAULT_GRID_BUDGET, DEFAULT_SEARCH_BUDGET, BudgetExceeded, Instance,
+    InvariantViolation, Prices, Valuation, add_indicator, check_index, dominated,
+    env_budget, iter_items, is_submodular, first_monotonicity_violation, popcount,
 )
-
-DEFAULT_SEARCH_BUDGET = 200_000
 
 
 class UnclassifiableTransition(RuntimeError):
@@ -346,7 +344,8 @@ def is_ggs_member(v: Valuation, k: int, cap: int) -> GgsMembershipReport:
         nonlocal visits
         visits += 1
         if visits > budget:
-            raise BudgetExceeded(f"completion search passed {budget} nodes")
+            raise BudgetExceeded(
+                f"completion search passed {visits} nodes, budget {budget}")
         if i == len(large):
             candidate = tuple(table)
             if first_monotonicity_violation(candidate, m) is not None:

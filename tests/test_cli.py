@@ -193,9 +193,9 @@ def test_oracle_missing_price(capsys, two_path):
     assert cli.main(["oracle", "envy-free", "--instance", two_path]) == 1
 
 
-def test_oracle_budget_exceeded(capsys, two_path):
-    code, payload = run_cli(capsys, "oracle", "welfare", "--instance", two_path,
-                            "--budget", "1")
+def test_oracle_budget_exceeded(capsys, two_path, monkeypatch):
+    monkeypatch.setenv("WALRAS_BUDGET", "1")
+    code, payload = run_cli(capsys, "oracle", "welfare", "--instance", two_path)
     assert code == 1
     assert "error" in payload
 

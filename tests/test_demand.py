@@ -593,6 +593,15 @@ def test_min_demand_overlap_rejects_a_bundle_outside_the_market(bundle):
     assert demand.min_demand_overlap(v, (0, 0, 0), 7) == 1
 
 
+@pytest.mark.parametrize("bundle", [-1, 4, 7])
+def test_utility_rejects_a_bundle_outside_the_market(bundle):
+    # -1 would read the full bundle's value by Python's negative indexing
+    v = make_unit_demand((3, 1))
+    with pytest.raises(ValueError, match=rf"bundle must be in 0\.\.3 for m = 2, got {bundle}"):
+        demand.utility(v, (1, 0), bundle)
+    assert demand.utility(v, (1, 0), 3) == 2
+
+
 @pytest.mark.parametrize("bundle", [-1, -2, 2, 3])
 def test_excess_demand_rejects_a_bundle_outside_the_market(monkeypatch, bundle):
     inst = two_buyers_one_item()

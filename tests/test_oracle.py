@@ -202,12 +202,10 @@ def test_minimal_walrasian_is_minimal_and_valid():
     assert checked > 0
 
 
-def grid_scan(inst, bound=None):
+def grid_scan(inst):
     """minimal_walrasian_price by the retired scan: the Lyapunov value at
     every grid point from a grid x 2**m utility matrix per player."""
-    if bound is None:
-        bound = inst.vmax
-    caps = oracle._coordinate_bounds(inst, bound)
+    caps = oracle._coordinate_bounds(inst)
     welfare = oracle.max_welfare(inst).welfare
     grid = np.array(list(itertools.product(*(range(c + 1) for c in caps))),
                     dtype=np.int64).reshape(-1, inst.m)
@@ -241,15 +239,13 @@ def test_grid_sweep_matches_the_grid_scan(seed):
         inst = conftest.random_monotone_instance(rng, max_m=4)
     else:
         # not monotone and rarely submodular, so every coordinate runs to
-        # the bound
+        # vmax
         m = rng.randint(1, 3)
         inst = make_instance(list("abc"[:m]), [
             model.make_table(m, [0] + [rng.randint(0, conftest.VMAX)
                                        for _ in range(1, 1 << m)])
             for _ in range(rng.randint(1, 3))])
-    # a bound below the values can cut every Walrasian price off the grid
-    bound = rng.choice((None, rng.randint(0, inst.vmax)))
-    assert oracle.minimal_walrasian_price(inst, bound) == grid_scan(inst, bound)
+    assert oracle.minimal_walrasian_price(inst) == grid_scan(inst)
 
 
 def all_or_nothing(m, value, players=2):
@@ -261,14 +257,31 @@ def all_or_nothing(m, value, players=2):
 
 def test_grid_sweep_when_the_last_items_have_one_price():
     # nobody values c alone, so the grid holds c at 0 and is sliced by b's
-    # prices; at bound 0 it holds every item at 0, and the pair is worth
-    # more than either item of it
+    # prices; in a market nobody values at all it holds every item at 0
     inst = make_instance(["a", "b", "c"], [make_unit_demand(v) for v in (
         (5, 3, 0), (3, 5, 0), (4, 4, 0))])
     assert oracle.minimal_walrasian_price(inst) == grid_scan(inst)
     assert grid_scan(inst).price == (4, 4, 0)
-    for inst, bound in ((inst, 2), (inst, 0), (all_or_nothing(2, 3), 0)):
-        assert oracle.minimal_walrasian_price(inst, bound) == grid_scan(inst, bound)
+    zero = make_instance(["a", "b", "c"], [make_unit_demand((0, 0, 0))] * 2)
+    assert oracle.minimal_walrasian_price(zero) == grid_scan(zero)
+    assert grid_scan(zero).price == (0, 0, 0)
+
+
+def test_grid_sweep_holds_one_grid_when_the_last_items_have_one_price(monkeypatch):
+    # a 2048 x 2048 x 1 grid, just inside the default budget: a price sum
+    # over all three items holds the grid twice, as the partial sum over a
+    # and b and again with c's one price added
+    monkeypatch.delenv("WALRAS_BUDGET", raising=False)
+    inst = make_instance(["a", "b", "c"], [make_unit_demand(v) for v in (
+        (2047, 1500, 0), (1500, 2047, 0), (2000, 2000, 0))])
+    tracemalloc.start()
+    try:
+        rep = oracle.minimal_walrasian_price(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.price == (2000, 2000, 0) and rep.unique
+    assert peak < 1.5 * 2048 ** 2 * np.dtype(np.int64).itemsize
 
 
 def test_minimal_prices_without_a_lattice_minimum():
@@ -322,12 +335,13 @@ def test_grid_budget_is_checked_before_the_sweep(monkeypatch):
         oracle.minimal_walrasian_price(two_buyers_one_item())
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
     inst = two_buyers_one_item()
+    monkeypatch.setenv("WALRAS_BUDGET", "1")
     with pytest.raises(oracle.BudgetExceeded):
-        oracle.max_welfare(inst, budget=1)
+        oracle.max_welfare(inst)
     with pytest.raises(oracle.BudgetExceeded):
-        oracle.minimal_walrasian_price(inst, budget=1)
+        oracle.minimal_walrasian_price(inst)
 
 
 def test_env_budget_override(monkeypatch):
@@ -356,8 +370,8 @@ def test_budget_is_checked_before_the_caches(monkeypatch):
 
 def test_min_walrasian_certifies_under_the_callers_budget(capsys, tmp_path,
                                                          monkeypatch):
-    # the welfare DP needs 18 steps and the grid has 12 points: over a
-    # default of 17 the certificate must reuse the DP run under --budget
+    # the welfare DP needs 18 steps and the grid has 12 points: the
+    # certificate reads the same WALRAS_BUDGET as the DP before it
     inst = make_instance(["x", "y"], [make_unit_demand((3, 2)),
                                       make_unit_demand((3, 2))])
     path = tmp_path / "market.json"
@@ -365,42 +379,44 @@ def test_min_walrasian_certifies_under_the_callers_budget(capsys, tmp_path,
     monkeypatch.setenv("WALRAS_BUDGET", "17")
     assert cli.main(["oracle", "welfare", "--instance", str(path)]) == 1
     assert "welfare DP needs 18 steps" in capsys.readouterr().out
-    assert cli.main(["oracle", "min-walrasian", "--instance", str(path),
-                     "--budget", "18"]) == 0
+    monkeypatch.setenv("WALRAS_BUDGET", "18")
+    assert cli.main(["oracle", "min-walrasian", "--instance", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"x": 1, "y": 0}
 
 
 def test_min_walrasian_bounds_its_welfare_dp_by_the_dp_budget(monkeypatch):
     # a 4-point grid inside a grid budget of 10, and a welfare DP of 45
-    # steps: unset, the budget bounds the DP by the DP's own default
+    # steps: unset, WALRAS_BUDGET leaves the DP its own default
     monkeypatch.delenv("WALRAS_BUDGET", raising=False)
     monkeypatch.setattr(oracle, "DEFAULT_GRID_BUDGET", 10)
     inst = make_instance(["x", "y"], [make_unit_demand((1, 1)) for _ in range(5)])
     rep = oracle.minimal_walrasian_price(inst)
     assert rep.price == (1, 1) and rep.unique
+    monkeypatch.setenv("WALRAS_BUDGET", "10")
     with pytest.raises(oracle.BudgetExceeded,
                        match="welfare DP needs 45 steps, budget 10"):
-        oracle.minimal_walrasian_price(inst, budget=10)
+        oracle.minimal_walrasian_price(inst)
 
 
 def test_envy_free_search_is_bounded(monkeypatch):
     inst = two_buyers_one_item()
+    monkeypatch.setenv("WALRAS_BUDGET", "1")
     with pytest.raises(oracle.BudgetExceeded,
                        match="envy-free search passed 2 nodes, budget 1"):
-        oracle.envy_free_exists(inst, (5,), budget=1)
+        oracle.envy_free_exists(inst, (5,))
     monkeypatch.setenv("WALRAS_BUDGET", "2")
     with pytest.raises(oracle.BudgetExceeded,
                        match="envy-free search passed 3 nodes, budget 2"):
         oracle.envy_free_exists(inst, (5,))
 
 
-def test_envy_free_search_expands_each_state_once():
+def test_envy_free_search_expands_each_state_once(monkeypatch):
     # twelve players want one of eleven items: without remembering failed
     # (player, used-items) states the search retries every order of them
     items = [f"i{j}" for j in range(12)]
     inst = make_instance(items, [make_unit_demand((1,) * 11 + (0,))] * 12)
-    assert oracle.envy_free_exists(inst, inst.zero_prices(),
-                                   budget=(inst.n + 1) * 2 ** inst.m) is None
+    monkeypatch.setenv("WALRAS_BUDGET", str((inst.n + 1) * 2 ** inst.m))
+    assert oracle.envy_free_exists(inst, inst.zero_prices()) is None
     # the first solution found is unchanged: players take i0, i1, ... in turn
     eleven = make_instance(items, [make_unit_demand((1,) * 11 + (0,))] * 11)
     assert oracle.envy_free_exists(eleven, eleven.zero_prices()) == \
@@ -421,8 +437,8 @@ def test_invariant_violation_survives_python_O():
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         real = oracle.max_welfare
-        oracle.max_welfare = lambda inst, budget=None: dataclasses.replace(
-            real(inst, budget), welfare=real(inst, budget).welfare + 1)
+        oracle.max_welfare = lambda inst: dataclasses.replace(
+            real(inst), welfare=real(inst).welfare + 1)
         inst = make_instance(["x"], [make_unit_demand((5,)),
                                      make_unit_demand((5,))])
         for check in (lambda: oracle.is_walrasian(inst, (5,)),

@@ -1,13 +1,18 @@
-"""Checks on the package's source: the functions the benchmark names, and
-the names each module imports."""
+"""Checks on the package's source: the functions the benchmark names, the
+names each module imports, and the command line the README documents."""
 
+import argparse
 import ast
 import importlib
 import inspect
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from walras import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "walras"
@@ -59,3 +64,49 @@ def test_unused_import_check_sees_plain_and_from_imports():
     source = ("import os\nimport numpy as np\nfrom x import a, b as c\n"
               "from __future__ import annotations\nprint(np.pi, c)\n")
     assert unused_imports(source) == ["os", "a"]
+
+
+def readme_prose() -> str:
+    """README.md without its fenced code blocks."""
+    return re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+
+
+def readme_command_lines() -> list[str]:
+    """The walras lines of the README's "Command line" code block."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, flags=re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("walras ")]
+
+
+def parser_options() -> set[str]:
+    """Every option string of every walras subcommand."""
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {opt for sub in subs.choices.values() for a in sub._actions
+            for opt in a.option_strings}
+
+
+def test_readme_flags_are_parser_options():
+    spans = re.findall(r"`([^`]+)`", readme_prose())
+    flags = {f for span in spans for f in re.findall(r"(?<![\w-])--[a-z][\w-]*", span)}
+    assert "--out" in flags
+    assert flags - parser_options() == set()
+
+
+def test_readme_command_lines_parse():
+    lines = readme_command_lines()
+    assert len(lines) >= 10
+    bad = []
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            bad.append(line)
+    assert bad == []
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    module, name = project["scripts"]["walras"].split(":")
+    assert getattr(importlib.import_module(module), name) is cli.main

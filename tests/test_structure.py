@@ -320,7 +320,7 @@ def test_ggs_membership(monkeypatch):
 
     monkeypatch.setenv("WALRAS_BUDGET", "1")
     with pytest.raises(model.BudgetExceeded,
-                       match="completion search passed 1 nodes"):
+                       match="completion search passed 2 nodes, budget 1"):
         structure.is_ggs_member(ggs24(), 2, 4)
 
 
@@ -341,6 +341,14 @@ def test_decreasing_marginal_rejects_items_outside_the_market(monkeypatch, x, y,
     monkeypatch.setattr(demand, "lyapunov_after_raise", None)
     with pytest.raises(ValueError, match=rf"{name} must be in 0\.\.1 for m = 2, got {bad}"):
         structure.check_decreasing_marginal(inst, (0, 0), x, y)
+
+
+@pytest.mark.parametrize("bundle", [-1, 4, 7])
+def test_utility_distance_rejects_a_bundle_outside_the_market(bundle):
+    v = make_unit_demand((3, 1))
+    with pytest.raises(ValueError, match=rf"bundle must be in 0\.\.3 for m = 2, got {bundle}"):
+        structure.check_utility_distance(v, (1, 0), bundle)
+    assert structure.check_utility_distance(v, (1, 0), 3).ok
 
 
 @pytest.mark.parametrize("item", [-1, 3])
