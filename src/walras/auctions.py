@@ -64,8 +64,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import demand
 from .model import (
-    Instance, InvariantViolation, Prices, add_indicator, dominated, iter_items,
-    prices_to_json,
+    Instance, InvariantViolation, Prices, add_indicator, check_price_count, dominated,
+    iter_items, prices_to_json,
 )
 
 
@@ -88,9 +88,12 @@ class AuctionTrace:
     algorithm: str
     steps: tuple[AuctionStep, ...]
     final_price: Prices
-    terminated: bool
     iteration_cap_hit: bool
     anomalies: tuple[str, ...]
+
+    @property
+    def terminated(self) -> bool:
+        return not self.iteration_cap_hit
 
 
 def iteration_cap(instance: Instance) -> int:
@@ -139,8 +142,7 @@ def _ascend(instance: Instance, algorithm: str, rule: RaiseRule,
     def stop(capped: bool) -> AuctionTrace:
         if capped:
             anomalies.append(f"iteration cap {cap} hit")
-        return AuctionTrace(algorithm, tuple(steps), p, not capped, capped,
-                            tuple(anomalies))
+        return AuctionTrace(algorithm, tuple(steps), p, capped, tuple(anomalies))
 
     lyap = demand.lyapunov(instance, p)
     while True:
@@ -367,6 +369,7 @@ def monitor_domination(trace: AuctionTrace, p_star: Prices) -> Optional[int]:
     Returns None when dominated throughout, else the first offending
     step index (len(steps) names the final price).
     """
+    check_price_count(p_star, len(trace.final_price))
     for step in trace.steps:
         if not dominated(step.price_before, p_star):
             return step.t

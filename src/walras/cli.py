@@ -37,8 +37,12 @@ def _fail(message: str) -> int:
 
 
 def _load_instance(path: str) -> Instance:
-    with open(path, "rb") as fh:
-        return instance_from_json(fh.read())
+    """Read the instance at path; exit 1 with a message if it cannot be loaded."""
+    try:
+        with open(path, "rb") as fh:
+            return instance_from_json(fh.read())
+    except (OSError, ModelError) as exc:
+        raise SystemExit(_fail(f"cannot load instance: {exc}")) from None
 
 
 def _print(text: str) -> None:
@@ -68,10 +72,7 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        instance = _load_instance(args.instance)
-    except (OSError, ModelError) as exc:
-        return _fail(f"cannot load instance: {exc}")
+    instance = _load_instance(args.instance)
 
     algorithm = args.algorithm
     cert = None
@@ -223,10 +224,7 @@ def _check_ggs2_shape(instance: Instance) -> list[dict]:
 
 
 def cmd_check(args) -> int:
-    try:
-        instance = _load_instance(args.instance)
-    except (OSError, ModelError) as exc:
-        return _fail(f"cannot load instance: {exc}")
+    instance = _load_instance(args.instance)
     runner = {
         "gs": _check_gs,
         "matroid": _check_matroid,
@@ -303,10 +301,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        instance = _load_instance(args.instance)
-    except (OSError, ModelError) as exc:
-        return _fail(f"cannot load instance: {exc}")
+    instance = _load_instance(args.instance)
     try:
         if args.what == "welfare":
             res = oracle.max_welfare(instance)
@@ -343,10 +338,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    instance = _load_instance(args.instance)
     try:
-        instance = _load_instance(args.instance)
         prices = prices_from_json(args.price, instance)
-    except (OSError, ModelError) as exc:
+    except ModelError as exc:
         return _fail(str(exc))
     reports = demand.demand_reports(instance, prices)
     ob = demand.over_demanded_set(instance, prices)

@@ -86,7 +86,7 @@ import numpy as np
 
 from .model import (
     DEFAULT_OP_BUDGET, BudgetExceeded, Instance, Prices, Valuation, check_index,
-    lex_key, popcount, price_of,
+    check_price_count, lex_key, popcount, price_of,
 )
 
 
@@ -324,8 +324,7 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
     else:
         views, base = {}, None
         _memo = (owner, views, None, None)
-    if len(prices) != m:
-        raise ValueError(f"price vector has {len(prices)} entries, instance has {m}")
+    check_price_count(prices, m)
     n = len(players)
     shifting = base is not None and all(q >= b for q, b in zip(prices, base_prices))
     if shifting:
@@ -419,6 +418,7 @@ class MinimizerReport:
 def utility(v: Valuation, prices: Prices, bundle: int) -> int:
     """v(S) minus the price of S."""
     check_index("bundle", bundle, 1 << v.m, v.m)
+    check_price_count(prices, v.m)
     return v.table[bundle] - price_of(prices, bundle)
 
 

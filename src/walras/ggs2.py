@@ -22,9 +22,8 @@ from typing import Optional, Sequence
 from . import demand, oracle
 from .auctions import AuctionStep, AuctionTrace, iteration_cap
 from .model import (
-    Allocation, Instance, InvariantViolation, Prices, add_indicator, dominated,
-    make_instance, make_truncation, make_unit_demand, popcount,
-    prices_to_json,
+    Instance, InvariantViolation, Prices, add_indicator, make_instance,
+    make_truncation, make_unit_demand, popcount, prices_to_json,
 )
 
 
@@ -92,15 +91,11 @@ def classify_players(instance: Instance, prices: Prices) -> PlayerClass:
 
     Zero-utility players (empty set demanded) are set aside; the rest are
     small when every demanded bundle is a singleton, pair players when some
-    demanded bundle has two or more items.
+    demanded bundle has two or more items. The pair-cap shape is not
+    checked here; common_cap checks it.
     """
-    common_cap(instance)
-    return _classify(demand.demand_reports(instance, prices))
-
-
-def _classify(reports: Sequence[demand.DemandReport]) -> PlayerClass:
     small, pairs, empty = [], [], []
-    for r in reports:
+    for r in demand.demand_reports(instance, prices):
         if r.utility == 0:
             empty.append(r.player)
         elif any(popcount(s) >= 2 for s in r.demand):
@@ -244,11 +239,9 @@ def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCert
         if len(steps) >= cap:
             anomalies.append(f"iteration cap {cap} hit")
             cert = oracle.check_allocation(instance, p, (0,) * instance.n)
-            trace = AuctionTrace("ggs2", tuple(steps), p, False, True,
-                                 tuple(anomalies))
+            trace = AuctionTrace("ggs2", tuple(steps), p, True, tuple(anomalies))
             return trace, cert
-        # the shape was checked once above, so classify without common_cap
-        cls = _classify(demand.demand_reports(instance, p))
+        cls = classify_players(instance, p)
         if cls.small:
             # a small player's minimal demand is its best singletons, so
             # its overlaps are those of the unit-demand player its
@@ -278,8 +271,7 @@ def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCert
             cert = oracle.is_walrasian(instance, p)
             if not cert.valid:
                 anomalies.append("terminal certificate invalid")
-            trace = AuctionTrace("ggs2", tuple(steps), p, True, False,
-                                 tuple(anomalies))
+            trace = AuctionTrace("ggs2", tuple(steps), p, False, tuple(anomalies))
             return trace, cert
 
         p = _record_step(instance, steps, p, min_items(p), True)
@@ -299,31 +291,6 @@ def _record_step(instance: Instance, steps: list[AuctionStep], p: Prices,
         f_val = demand.excess_demand(instance, p, raised)
     steps.append(AuctionStep(len(steps), p, raised, lyap, f_val, unique))
     return add_indicator(p, raised)
-
-
-def gen_dom_check(instance: Instance, prices: Prices, p_star: Prices,
-                  alloc: Allocation) -> Optional[str]:
-    """Certify a dominated price via an envy-free allocation.
-
-    An envy-free allocation at p <= p_star with p_star Walrasian forces
-    the Lyapunov values equal, making p Walrasian as well. Returns None
-    when the whole chain checks out, else the first broken link.
-    """
-    prices = tuple(prices)
-    p_star = tuple(p_star)
-    if not dominated(prices, p_star):
-        return "price not dominated by p_star"
-    star = oracle.is_walrasian(instance, p_star)
-    if not star.valid:
-        return "p_star is not Walrasian"
-    mine = oracle.check_allocation(instance, prices, alloc)
-    if not mine.envy_free:
-        return "allocation is not envy-free at p"
-    if demand.lyapunov(instance, prices) != demand.lyapunov(instance, p_star):
-        return "lyapunov values differ"
-    if not oracle.is_walrasian(instance, prices).valid:
-        return "p fails the equilibrium check despite equal lyapunov"
-    return None
 
 
 def certificate_to_json(cert: oracle.WalrasianCertificate,

@@ -26,12 +26,11 @@ int64 while values stay below 2**61 and on Python integers past that.
 Reading a JSON table player still parses and checks its bundle keys one
 at a time.
 
-The error types shared by every module live here too, with the three
-enumeration budgets: DEFAULT_OP_BUDGET in steps, entries or nodes,
-DEFAULT_GRID_BUDGET in grid points or entries, and DEFAULT_SEARCH_BUDGET
-in completion-search nodes. Each exhaustive search reads env_budget(its
-default) where it checks its size, so WALRAS_BUDGET is the one override,
-and raises BudgetExceeded past it.
+The error types shared by every module live here too, with the two
+enumeration budgets: DEFAULT_OP_BUDGET in steps, entries or nodes, and
+DEFAULT_GRID_BUDGET in grid points or entries. Each exhaustive search
+reads env_budget(its default) where it checks its size, so WALRAS_BUDGET
+is the one override, and raises BudgetExceeded past it.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ MAX_ITEMS = 20
 DEFAULT_VMAX = 64
 DEFAULT_OP_BUDGET = 20_000_000
 DEFAULT_GRID_BUDGET = 1 << 22
-DEFAULT_SEARCH_BUDGET = 200_000
 
 
 class ModelError(ValueError):
@@ -348,6 +346,12 @@ def validate(v: Valuation, vmax: int = DEFAULT_VMAX) -> Optional[Violation]:
 # prices, allocations, instances
 
 Prices = tuple[int, ...]
+
+
+def check_price_count(prices: Prices, m: int) -> None:
+    """Reject a price vector that does not have one entry per item."""
+    if len(prices) != m:
+        raise ValueError(f"price vector has {len(prices)} entries, instance has {m}")
 
 
 def price_of(prices: Prices, bundle: int) -> int:

@@ -26,9 +26,8 @@ import numpy as np
 
 from . import demand
 from .model import (
-    DEFAULT_GRID_BUDGET, DEFAULT_SEARCH_BUDGET, BudgetExceeded, Instance,
-    InvariantViolation, Prices, Valuation, add_indicator, check_index, dominated,
-    env_budget, iter_items, is_submodular, first_monotonicity_violation, popcount,
+    DEFAULT_GRID_BUDGET, BudgetExceeded, Instance, InvariantViolation, Prices,
+    Valuation, add_indicator, check_index, dominated, env_budget, iter_items, popcount,
 )
 
 
@@ -274,100 +273,3 @@ def decreasing_marginal_reports(instance: Instance, prices: Prices
             rhs = int(after[1 << x | 1 << y]) + int(after[0])
             reports[x, y] = MarginalReport(lhs=lhs, rhs=rhs, ok=lhs >= rhs)
     return reports
-
-
-def check_decreasing_marginal(instance: Instance, prices: Prices,
-                              x: int, y: int) -> MarginalReport:
-    """Lyapunov submodularity across two distinct items, symmetric in them."""
-    check_index("item x", x, instance.m, instance.m)
-    check_index("item y", y, instance.m, instance.m)
-    if x == y:
-        raise ValueError("items must be distinct")
-    return decreasing_marginal_reports(instance, prices)[min(x, y), max(x, y)]
-
-
-@dataclass(frozen=True)
-class GgsMembershipReport:
-    member: bool
-    reason: str
-    completion: Optional[tuple[int, ...]]
-
-
-def is_ggs_member(v: Valuation, k: int, cap: int) -> GgsMembershipReport:
-    """Decide membership in the truncation class by completion search.
-
-    The valuation must equal cap on every bundle of size k or more and stay
-    at or below cap on smaller bundles; membership then asks for a
-    substitutes valuation agreeing below size k and sitting at or above cap
-    from size k up. The search enumerates completions in increasing value
-    order, pruning by monotonicity, local submodularity and subadditivity,
-    and certifies candidates with the grid check. The budgets are fixed:
-    the search passes at most DEFAULT_SEARCH_BUDGET nodes and each grid
-    check holds at most the grid budget's entries; WALRAS_BUDGET overrides
-    both.
-    """
-    budget = env_budget(DEFAULT_SEARCH_BUDGET)
-    m = v.m
-    for s in range(1 << m):
-        size = popcount(s)
-        if size >= k and v.table[s] != cap:
-            return GgsMembershipReport(False, "large bundle off the cap", None)
-        if size < k and v.table[s] > cap:
-            return GgsMembershipReport(False, "small bundle above the cap", None)
-
-    large = sorted((s for s in range(1 << m) if popcount(s) >= k),
-                   key=lambda s: (popcount(s), s))
-    table = list(v.table)
-    slack = v.vmax
-    visits = 0
-
-    def bounds(s: int) -> tuple[int, int]:
-        lo = cap
-        for j in iter_items(s):
-            lo = max(lo, table[s ^ (1 << j)])
-        hi = cap + slack
-        if popcount(s) >= 2:
-            hi = min(hi, sum(table[1 << j] for j in iter_items(s)))
-        return lo, hi
-
-    def locally_submodular(s: int) -> bool:
-        items = list(iter_items(s))
-        for a in range(len(items)):
-            x = 1 << items[a]
-            for b in range(a + 1, len(items)):
-                y = 1 << items[b]
-                if table[s] + table[s ^ x ^ y] > table[s ^ x] + table[s ^ y]:
-                    return False
-        return True
-
-    def rec(i: int) -> Optional[tuple[int, ...]]:
-        nonlocal visits
-        visits += 1
-        if visits > budget:
-            raise BudgetExceeded(
-                f"completion search passed {visits} nodes, budget {budget}")
-        if i == len(large):
-            candidate = tuple(table)
-            if first_monotonicity_violation(candidate, m) is not None:
-                return None
-            if not is_submodular(candidate, m):
-                return None
-            probe = Valuation(m=m, table=candidate)
-            if check_gs_on_grid(probe) is None:
-                return candidate
-            return None
-        s = large[i]
-        lo, hi = bounds(s)
-        for val in range(lo, hi + 1):
-            table[s] = val
-            if locally_submodular(s):
-                found = rec(i + 1)
-                if found is not None:
-                    return found
-        table[s] = cap
-        return None
-
-    completion = rec(0)
-    if completion is None:
-        return GgsMembershipReport(False, "no substitutes completion found", None)
-    return GgsMembershipReport(True, "completion found", completion)

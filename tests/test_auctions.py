@@ -61,6 +61,16 @@ def test_monitor_domination():
     assert auctions.monitor_domination(trace, (0,)) == 1
 
 
+@pytest.mark.parametrize("p_star", [(0,), (9, 9, 9)])
+def test_monitor_domination_rejects_a_price_vector_of_the_wrong_length(p_star):
+    # a short p_star used to be compared on a prefix only: (0,) gave 1
+    trace = auctions.gul_stacchetti(make_instance(["a", "b"], [make_unit_demand((2, 1))] * 2))
+    with pytest.raises(ValueError,
+                       match=f"price vector has {len(p_star)} entries, instance has 2"):
+        auctions.monitor_domination(trace, p_star)
+    assert auctions.monitor_domination(trace, (9, 9)) is None
+
+
 def test_policy_reproduces_gul():
     inst = two_buyers_one_item()
 
@@ -227,11 +237,11 @@ def unit_step(instance, algorithm, pick):
     while True:
         ob = demand.over_demanded_set(instance, p)
         if ob.excess <= 0:
-            return auctions.AuctionTrace(algorithm, tuple(steps), p, True, False,
+            return auctions.AuctionTrace(algorithm, tuple(steps), p, False,
                                          tuple(anomalies))
         if len(steps) >= cap:
             anomalies.append(f"iteration cap {cap} hit")
-            return auctions.AuctionTrace(algorithm, tuple(steps), p, False, True,
+            return auctions.AuctionTrace(algorithm, tuple(steps), p, True,
                                          tuple(anomalies))
         raised = pick(ob.bundle)
         f_val = demand.excess_demand(instance, p, raised)

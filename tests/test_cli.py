@@ -111,10 +111,18 @@ def test_unwritable_out_file_is_an_error(capsys, tmp_path, two_path):
     assert captured.err.startswith(f"error: cannot write {missing}: ")
 
 
+def exit_code(argv):
+    """What cli.main returns, or the code it exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_run_bad_inputs(capsys, tmp_path, two_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
-    assert cli.main(["run", "--instance", str(bad), "--algorithm", "gs"]) == 1
+    assert exit_code(["run", "--instance", str(bad), "--algorithm", "gs"]) == 1
     assert cli.main(["run", "--instance", two_path,
                      "--algorithm", "mystery"]) == 1
 
@@ -375,15 +383,20 @@ def deep_truncation(levels):
     pytest.param(json.dumps({"items": [f"i{j}" for j in range(40)],
                              "players": [{"type": "table", "values": {}}]}).encode(),
                  "item count must be in 1..20", id="forty-items"),
+    pytest.param(None, "[Errno 2] No such file or directory", id="missing-file"),
 ])
 def test_malformed_instance_is_an_error(capsys, tmp_path, content, message):
     path = tmp_path / "bad.json"
-    path.write_bytes(content)
-    assert cli.main(["run", "--instance", str(path), "--algorithm", "gs"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: cannot load instance: ")
-    assert message in captured.err
+    if content is not None:
+        path.write_bytes(content)
+    for argv in (["run", "--algorithm", "gs"], ["check", "gs"],
+                 ["oracle", "welfare"], ["inspect", "--price", "{}"]):
+        assert exit_code(argv + ["--instance", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot load instance: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_deeply_nested_price_is_an_error(capsys, two_path):
@@ -494,4 +507,4 @@ def test_malformed_input_never_raises(fuzz_path, command, given_input):
         argv.append(f"--price={price}")
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(argv) in (0, 1, 2)
+        assert exit_code(argv) in (0, 1, 2)

@@ -602,6 +602,17 @@ def test_utility_rejects_a_bundle_outside_the_market(bundle):
     assert demand.utility(v, (1, 0), 3) == 2
 
 
+@pytest.mark.parametrize("prices", [(1, 2), (1, 2, 3, 4)])
+def test_utility_rejects_a_price_vector_of_the_wrong_length(prices):
+    # a short vector used to raise a bare IndexError, a long one to be read
+    # on its prefix: (1, 2, 3) used to give 0 for the bundle {b}
+    v = make_unit_demand((3, 2, 0))
+    with pytest.raises(ValueError,
+                       match=f"price vector has {len(prices)} entries, instance has 3"):
+        demand.utility(v, prices, 0b10)
+    assert demand.utility(v, (1, 2, 3), 0b10) == 0
+
+
 @pytest.mark.parametrize("bundle", [-1, -2, 2, 3])
 def test_excess_demand_rejects_a_bundle_outside_the_market(monkeypatch, bundle):
     inst = two_buyers_one_item()

@@ -1,5 +1,6 @@
 """Checks on the package's source: the functions the benchmark names, the
-names each module imports, and the command line the README documents."""
+names each module imports, that every public function has a reader outside
+the tests, and the command line the README documents."""
 
 import argparse
 import ast
@@ -64,6 +65,40 @@ def test_unused_import_check_sees_plain_and_from_imports():
     source = ("import os\nimport numpy as np\nfrom x import a, b as c\n"
               "from __future__ import annotations\nprint(np.pi, c)\n")
     assert unused_imports(source) == ["os", "a"]
+
+
+def read_names(source: str) -> set[str]:
+    """Names source reads: Name and Attribute loads and from-import names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_read_names_sees_loads_attributes_and_from_imports():
+    source = "from x import a\nb = c.d\ne(f)\ndef g(): pass\n"
+    assert read_names(source) == {"a", "c", "d", "e", "f"}
+
+
+def test_every_public_function_has_a_reader():
+    # a public function that only tests call is dead code; the package's
+    # own modules (its exports included), the benchmark and the functions
+    # BENCHMARK.json names count as readers
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    read = set().union(*(read_names(p.read_text()) for p in sources))
+    named = set(benchmark_functions())
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                    and node.name not in read and (path.stem, node.name) not in named):
+                unread.append(f"{path.stem}.{node.name}")
+    assert unread == []
 
 
 def readme_prose() -> str:

@@ -255,11 +255,9 @@ def test_utility_distance_scans_minimal_demand_as_the_full_family(seed):
 
 def test_decreasing_marginal():
     inst = make_instance(["a", "b"], [make_additive((2, 3))])
-    rep = structure.check_decreasing_marginal(inst, (0, 0), 0, 1)
+    rep = structure.decreasing_marginal_reports(inst, (0, 0))[0, 1]
     assert rep.ok
     assert rep.lhs == rep.rhs == 10
-    with pytest.raises(ValueError):
-        structure.check_decreasing_marginal(inst, (0, 0), 1, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,8 +268,8 @@ def test_decreasing_marginal_on_gs(seed):
     if inst.m < 2:
         return
     p = conftest.random_prices(rng, inst, hi=4)
-    x, y = rng.sample(range(inst.m), 2)
-    assert structure.check_decreasing_marginal(inst, p, x, y).ok
+    x, y = sorted(rng.sample(range(inst.m), 2))
+    assert structure.decreasing_marginal_reports(inst, p)[x, y].ok
 
 
 def decreasing_marginal_by_views(inst, prices, x, y):
@@ -292,55 +290,10 @@ def test_decreasing_marginal_matches_four_lyapunov_values(seed):
     if inst.m < 2:
         return
     p = conftest.random_prices(rng, inst)
-    for x, y in itertools.permutations(range(inst.m), 2):
-        assert structure.check_decreasing_marginal(inst, p, x, y) == \
-            decreasing_marginal_by_views(inst, p, x, y)
-
-
-def test_ggs_membership(monkeypatch):
-    rep = structure.is_ggs_member(ggs24(), 2, 4)
-    assert rep.member
-    assert rep.reason == "completion found"
-    assert rep.completion == (0, 2, 2, 4, 4, 4, 6, 6)
-
-    const = structure.is_ggs_member(make_table(2, (0, 3, 3, 3)), 1, 3)
-    assert const.member
-
-    comp = structure.is_ggs_member(make_table(2, (0, 0, 0, 2)), 2, 2)
-    assert not comp.member
-    assert comp.reason == "no substitutes completion found"
-
-    off_cap = structure.is_ggs_member(make_table(2, (0, 1, 1, 5)), 2, 4)
-    assert not off_cap.member
-    assert off_cap.reason == "large bundle off the cap"
-
-    tall = structure.is_ggs_member(make_table(2, (0, 5, 1, 4)), 2, 4)
-    assert not tall.member
-    assert tall.reason == "small bundle above the cap"
-
-    monkeypatch.setenv("WALRAS_BUDGET", "1")
-    with pytest.raises(model.BudgetExceeded,
-                       match="completion search passed 2 nodes, budget 1"):
-        structure.is_ggs_member(ggs24(), 2, 4)
-
-
-@settings(max_examples=15, deadline=None)
-@given(seeds)
-def test_generated_truncations_are_members(seed):
-    rng = random.Random(seed)
-    v = conftest.random_ggs2_valuation(rng, rng.randint(2, 3), rng.randint(1, 5))
-    cap = v.table[-1]
-    assert structure.is_ggs_member(v, 2, cap).member
-
-
-@pytest.mark.parametrize("x, y, name, bad", [(0, 5, "item y", 5), (-1, 1, "item x", -1),
-                                             (2, 0, "item x", 2)])
-def test_decreasing_marginal_rejects_items_outside_the_market(monkeypatch, x, y, name, bad):
-    # used to raise KeyError (0, 5), and only after the full sweep
-    inst = make_instance(["a", "b"], [make_unit_demand((3, 2))] * 2)
-    monkeypatch.setattr(demand, "lyapunov_after_raise", None)
-    with pytest.raises(ValueError, match=rf"{name} must be in 0\.\.1 for m = 2, got {bad}"):
-        structure.check_decreasing_marginal(inst, (0, 0), x, y)
+    reports = structure.decreasing_marginal_reports(inst, p)
+    assert list(reports) == list(itertools.combinations(range(inst.m), 2))
+    for (x, y), rep in reports.items():
+        assert rep == decreasing_marginal_by_views(inst, p, x, y)
 
 
 @pytest.mark.parametrize("bundle", [-1, 4, 7])
