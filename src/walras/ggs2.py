@@ -7,7 +7,9 @@ singletons and those players cannot all be matched to distinct items,
 it runs one step of the substitutes auction induced on them; once a
 saturating matching exists it counts unmatched players n' against
 unmatched minimum-price items m' and either stops (2n' <= m') or
-raises every minimum-price item by one and rebuilds.
+raises every minimum-price item by one and rebuilds. Both counts come
+from the sizes of two maximum matchings of the singleton demand graph,
+not from whichever maximum matching a routine happens to build.
 
 At the stop price the allocation is not rebuilt from the matching: the
 oracle certifies the price by strong duality, and its certificate carries
@@ -49,16 +51,12 @@ class PlayerClass:
 @dataclass(frozen=True)
 class DemandGraph:
     left: tuple[int, ...]           # player indices
-    right: tuple[int, ...]          # item indices
     edges: tuple[tuple[int, int], ...]
-    min_bundle: int
 
 
 @dataclass(frozen=True)
 class MatchingResult:
     matching: tuple[tuple[int, int], ...]
-    unmatched_players: tuple[int, ...]
-    unmatched_min_items: int
     cover_players: tuple[int, ...]
     cover_items: tuple[int, ...]
 
@@ -121,35 +119,26 @@ def build_demand_graph(instance: Instance, prices: Prices,
         for s in reports[i].demand:
             if popcount(s) == 1:
                 edges.append((i, s.bit_length() - 1))
-    return DemandGraph(
-        left=tuple(sorted(players)),
-        right=tuple(range(instance.m)),
-        edges=tuple(edges),
-        min_bundle=min_items(prices),
-    )
+    return DemandGraph(left=tuple(sorted(players)), edges=tuple(edges))
 
 
 def max_matching(g: DemandGraph, must_match: Sequence[int]) -> MatchingResult:
     """Deterministic maximum matching saturating must_match.
 
     Saturates must_match first (raising HallViolation with a witness set
-    when impossible), then rematches to cover as many non-minimum-price
-    items as possible, then grows to maximum size. The returned cover is
-    the standard alternating-reachability construction and always has the
-    same size as the matching.
+    when impossible), then grows to maximum size by augmenting paths,
+    which never unmatch a player. The returned cover is the standard
+    alternating-reachability construction and always has the same size as
+    the matching.
     """
     must = sorted(must_match)
     if set(must) - set(g.left):
         raise ValueError("must_match outside the graph")
     adj: dict[int, list[int]] = {i: [] for i in g.left}
-    adj_item: dict[int, list[int]] = {}
     for i, x in g.edges:
         adj[i].append(x)
-        adj_item.setdefault(x, []).append(i)
     for i in adj:
         adj[i].sort()
-    for x in adj_item:
-        adj_item[x].sort()
 
     match_p: dict[int, int] = {}
     match_i: dict[int, int] = {}
@@ -173,26 +162,6 @@ def max_matching(g: DemandGraph, must_match: Sequence[int]) -> MatchingResult:
             witness = tuple(sorted({i} | {match_i[x] for x in seen}))
             raise HallViolation(witness)
 
-    # prefer covering items outside the minimum-price set, releasing
-    # minimum-price items or chaining displaced items elsewhere
-    def cover_item(x: int, seen_players: set[int]) -> bool:
-        for i in adj_item.get(x, []):
-            if i in seen_players:
-                continue
-            seen_players.add(i)
-            y = match_p.get(i)
-            if y is None or g.min_bundle >> y & 1 or cover_item(y, seen_players):
-                if y is not None and match_i.get(y) == i:
-                    del match_i[y]
-                match_p[i] = x
-                match_i[x] = i
-                return True
-        return False
-
-    for x in g.right:
-        if not g.min_bundle >> x & 1 and x not in match_i:
-            cover_item(x, set())
-
     for i in g.left:
         if i not in match_p:
             augment(i, set())
@@ -215,11 +184,20 @@ def max_matching(g: DemandGraph, must_match: Sequence[int]) -> MatchingResult:
     matching = tuple(sorted(match_p.items()))
     if len(cover_players) + len(cover_items) != len(matching):
         raise InvariantViolation("cover size mismatch; matching was not maximum")
+    return MatchingResult(matching, cover_players, cover_items)
 
-    unmatched_players = tuple(i for i in g.left if i not in match_p)
-    unmatched_min = g.min_bundle & ~sum(1 << x for x in match_i)
-    return MatchingResult(matching, unmatched_players, unmatched_min,
-                          cover_players, cover_items)
+
+def _stop_counts(g: DemandGraph, low: int,
+                 must_match: Sequence[int]) -> tuple[int, int]:
+    """(n', m'): the players of g and the items of low left free by a
+    maximum matching saturating must_match that matches as many items
+    outside low as any matching does. With nu a maximum matching's size
+    and r that of one avoiding low, n' = |left| - nu and m' = |low| - nu
+    + r, since such a matching exists (Mendelsohn-Dulmage)."""
+    nu = len(max_matching(g, must_match).matching)
+    high = DemandGraph(g.left, tuple(e for e in g.edges if not low >> e[1] & 1))
+    r = len(max_matching(high, must_match=()).matching)
+    return len(g.left) - nu, popcount(low) - nu + r
 
 
 def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCertificate]:
@@ -262,11 +240,9 @@ def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCert
             continue
 
         active = tuple(sorted(cls.small + cls.pair_players))
+        low = min_items(p)
         g = build_demand_graph(instance, p, active)
-        mr = max_matching(g, must_match=cls.small)
-        n_prime = len(mr.unmatched_players)
-        m_prime = popcount(mr.unmatched_min_items)
-
+        n_prime, m_prime = _stop_counts(g, low, cls.small)
         if 2 * n_prime <= m_prime:
             cert = oracle.is_walrasian(instance, p)
             if not cert.valid:
@@ -274,7 +250,7 @@ def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCert
             trace = AuctionTrace("ggs2", tuple(steps), p, False, tuple(anomalies))
             return trace, cert
 
-        p = _record_step(instance, steps, p, min_items(p), True)
+        p = _record_step(instance, steps, p, low, True)
 
 
 def _record_step(instance: Instance, steps: list[AuctionStep], p: Prices,

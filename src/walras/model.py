@@ -543,6 +543,11 @@ def instance_from_json(text: Union[str, bytes], vmax: int = DEFAULT_VMAX) -> Ins
         raise ModelError("duplicate item labels")
     if not isinstance(obj["players"], list):
         raise ModelError("'players' must be a list of players")
+    # a fixed bound, like the market view's: WALRAS_BUDGET does not move it
+    n = len(obj["players"])
+    if n << len(items) > DEFAULT_OP_BUDGET:
+        raise ModelError(f"{n} players over {len(items)} items need "
+                         f"{n << len(items)} table entries, bound {DEFAULT_OP_BUDGET}")
     players = [_player_from_json(p, items, index) for p in obj["players"]]
     instance = make_instance(items, players)
     for i, v in enumerate(instance.players):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -157,35 +157,43 @@ def envy_free_exists(instance: Instance, prices: Prices) -> Optional[Allocation]
     failed: set[tuple[int, int]] = set()
     nodes = 0
 
-    def rec(i: int, used: int) -> bool:
-        nonlocal nodes
-        if (i, used) in failed:
-            return False
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(
-                f"envy-free search passed {nodes} nodes, budget {budget}")
-        if i == n:
-            return True
-        free = instance.m - popcount(used)
-        if suffix_need[i] > free:
-            failed.add((i, used))
-            return False
+    def untried(i: int, used: int) -> Iterator[int]:
+        room = instance.m - popcount(used) - suffix_need[i + 1]
         for s in choices[i]:
-            if popcount(s) > free - suffix_need[i + 1]:
-                break               # sorted by size, nothing later can fit
-            if s & used:
-                continue
-            picked.append(s)
-            if rec(i + 1, used | s):
-                return True
-            picked.pop()
-        failed.add((i, used))
-        return False
+            if popcount(s) > room:
+                return              # sorted by size, nothing later can fit
+            if not s & used:
+                yield s
 
-    if rec(0, 0):
-        return tuple(picked)
-    return None
+    # one frame per player on the path, so the depth is n on the heap,
+    # not on the call stack
+    frames: list[tuple[int, Iterator[int]]] = []
+    i, used = 0, 0
+    while True:
+        if (i, used) not in failed:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(
+                    f"envy-free search passed {nodes} nodes, budget {budget}")
+            if i == n:
+                return tuple(picked)
+            if suffix_need[i] > instance.m - popcount(used):
+                failed.add((i, used))
+            else:
+                frames.append((used, untried(i, used)))
+        # the next bundle of the deepest player with one left
+        while frames:
+            used, rest = frames[-1]
+            del picked[len(frames) - 1:]
+            s = next(rest, None)
+            if s is not None:
+                picked.append(s)
+                i, used = len(frames), used | s
+                break
+            frames.pop()
+            failed.add((len(frames), used))
+        else:
+            return None
 
 
 def _certificate(instance: Instance, prices: Prices, alloc: Allocation,

@@ -140,7 +140,6 @@ def check_gs_on_grid(v: Valuation) -> Optional[GsWitness]:
 @dataclass(frozen=True)
 class MatroidViolation:
     kind: str                       # "cardinality" or "exchange"
-    detail: tuple[int, ...]
 
 
 def check_matroid_bases(family: Sequence[int]) -> Optional[MatroidViolation]:
@@ -155,7 +154,7 @@ def check_matroid_bases(family: Sequence[int]) -> Optional[MatroidViolation]:
     size = popcount(bases[0])
     for b in bases[1:]:
         if popcount(b) != size:
-            return MatroidViolation("cardinality", (bases[0], b))
+            return MatroidViolation("cardinality")
     members = set(bases)
     for b1 in bases:
         for b2 in bases:
@@ -167,7 +166,7 @@ def check_matroid_bases(family: Sequence[int]) -> Optional[MatroidViolation]:
                         found = True
                         break
                 if not found:
-                    return MatroidViolation("exchange", (b1, b2, 1 << j2))
+                    return MatroidViolation("exchange")
     return None
 
 
@@ -228,7 +227,6 @@ class UtilityDistanceReport:
     """Witness that a bundle sits within its utility gap of the demand family."""
     gap: int
     demanded: Optional[int]
-    addback: Optional[int]
     ok: bool
 
 
@@ -250,8 +248,8 @@ def check_utility_distance(v: Valuation, prices: Prices, bundle: int) -> Utility
         if best is None or popcount(extra) < popcount(best[1]):
             best = (d, extra)
     if best is not None and popcount(best[1]) <= gap:
-        return UtilityDistanceReport(gap=gap, demanded=best[0], addback=best[1], ok=True)
-    return UtilityDistanceReport(gap=gap, demanded=None, addback=None, ok=False)
+        return UtilityDistanceReport(gap=gap, demanded=best[0], ok=True)
+    return UtilityDistanceReport(gap=gap, demanded=None, ok=False)
 
 
 @dataclass(frozen=True)

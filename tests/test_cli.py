@@ -217,6 +217,19 @@ def test_oracle_envy_free_budget_exceeded(capsys, two_path, monkeypatch):
                        "detail": "envy-free search passed 2 nodes, budget 1"}
 
 
+def test_envy_free_search_is_not_bounded_by_the_call_stack(capsys, tmp_path):
+    # one search level per player, a thousand deep: past the default
+    # recursion limit
+    doc = {"items": ["a"],
+           "players": [{"type": "unit_demand", "values": {"a": 1}}] * 1000}
+    path = tmp_path / "thousand.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run_cli(capsys, "oracle", "envy-free", "--instance",
+                            str(path), "--price", '{"a": 1}')
+    assert code == 0
+    assert payload["envy_free_allocation"] == [[]] * 1000
+
+
 def test_inspect(capsys, two_path):
     code, payload = run_cli(capsys, "inspect", "--instance", two_path,
                             "--price", '{"x": 2}')
@@ -397,6 +410,26 @@ def test_malformed_instance_is_an_error(capsys, tmp_path, content, message):
         assert captured.err.startswith("error: cannot load instance: ")
         assert message in captured.err
         assert len(captured.err.splitlines()) == 1
+
+
+def test_instance_over_the_table_bound_is_refused_before_any_table(
+        capsys, tmp_path, monkeypatch):
+    # 20 players over 20 items need 20 * 2**20 = 20,971,520 table entries,
+    # past the fixed bound, which WALRAS_BUDGET does not move
+    items = [f"i{j}" for j in range(20)]
+    doc = {"items": items, "players": [
+        {"type": "unit_demand", "values": {x: 1 for x in items}}] * 20}
+    path = tmp_path / "twenty.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("WALRAS_BUDGET", str(10 ** 12))
+    monkeypatch.setattr(model, "make_unit_demand", lambda values: pytest.fail(
+        "a table was built"))
+    assert exit_code(["run", "--algorithm", "gs", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cannot load instance: 20 players over 20 items need "
+        "20971520 table entries, bound 20000000\n")
 
 
 def test_deeply_nested_price_is_an_error(capsys, two_path):

@@ -73,6 +73,92 @@ def test_matching_cover_is_koenig():
     assert len(res.cover_players) + len(res.cover_items) == len(res.matching)
 
 
+def preferential_stop_counts(left, items, edges, low, must_match):
+    """The reference: (n', m') read off the one matching the engine once
+    built in three phases. It saturates must_match, re-matches players
+    onto items outside low wherever an alternating path allows,
+    then grows to maximum size."""
+    must = sorted(must_match)
+    adj = {i: [] for i in left}
+    players_of = {}
+    for i, x in edges:
+        adj[i].append(x)
+        players_of.setdefault(x, []).append(i)
+    for i in adj:
+        adj[i].sort()
+    for x in players_of:
+        players_of[x].sort()
+
+    match_p = {}
+    match_i = {}
+
+    def augment(i, seen_items):
+        for x in adj[i]:
+            if x in seen_items:
+                continue
+            seen_items.add(x)
+            if x not in match_i or augment(match_i[x], seen_items):
+                match_p[i] = x
+                match_i[x] = i
+                return True
+        return False
+
+    for i in must:
+        seen = set()
+        if not augment(i, seen):
+            witness = tuple(sorted({i} | {match_i[x] for x in seen}))
+            raise ggs2.HallViolation(witness)
+
+    def take_item(x, seen_players):
+        for i in players_of.get(x, []):
+            if i in seen_players:
+                continue
+            seen_players.add(i)
+            y = match_p.get(i)
+            if y is None or low >> y & 1 or take_item(y, seen_players):
+                if y is not None and match_i.get(y) == i:
+                    del match_i[y]
+                match_p[i] = x
+                match_i[x] = i
+                return True
+        return False
+
+    for x in items:
+        if not low >> x & 1 and x not in match_i:
+            take_item(x, set())
+
+    for i in left:
+        if i not in match_p:
+            augment(i, set())
+
+    free_players = [i for i in left if i not in match_p]
+    free_low = low & ~sum(1 << x for x in match_i)
+    return len(free_players), model.popcount(free_low)
+
+
+@settings(max_examples=600, deadline=None)
+@given(seeds)
+def test_stop_counts_equal_the_preferential_matching(seed):
+    # n' and m' are sizes of maximum matchings, so they equal what the
+    # three-phase matching leaves free; a failed Hall condition raises the
+    # same witness in both
+    rng = random.Random(seed)
+    left = tuple(sorted(rng.sample(range(8), rng.randint(0, 7))))
+    m = rng.randint(0, 7)
+    density = rng.random()
+    edges = tuple((i, x) for i in left for x in range(m) if rng.random() < density)
+    low = rng.getrandbits(m)
+    must = tuple(i for i in left if rng.random() < 0.3)
+    try:
+        want = preferential_stop_counts(left, range(m), edges, low, must)
+    except ggs2.HallViolation as exc:
+        with pytest.raises(ggs2.HallViolation) as got:
+            ggs2._stop_counts(ggs2.DemandGraph(left, edges), low, must)
+        assert got.value.witness == exc.witness
+    else:
+        assert ggs2._stop_counts(ggs2.DemandGraph(left, edges), low, must) == want
+
+
 def test_claim_instance_run():
     trace, cert = ggs2.ggs2_auction(claim_instance())
     assert trace.terminated and trace.anomalies == ()

@@ -1,6 +1,7 @@
 """Checks on the package's source: the functions the benchmark names, the
 names each module imports, that every public function has a reader outside
-the tests, and the command line the README documents."""
+the tests, that every dataclass field has a reader, and the command line
+the README documents."""
 
 import argparse
 import ast
@@ -98,6 +99,44 @@ def test_every_public_function_has_a_reader():
             if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                     and node.name not in read and (path.stem, node.name) not in named):
                 unread.append(f"{path.stem}.{node.name}")
+    assert unread == []
+
+
+def attribute_loads(source: str) -> set[str]:
+    """The attribute names source reads, as in x.name."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def dataclass_fields(source: str) -> list[str]:
+    """Class.field for each annotated field of each dataclass in source."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                == "dataclass"
+                for d in node.decorator_list):
+            fields += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)]
+    return fields
+
+
+def test_attribute_and_field_scans():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+              "@dataclass\nclass B:\n    z: int\nclass C:\n    w: int\n"
+              "print(a.x, b.y.z)\nc.w = 1\n")
+    assert dataclass_fields(source) == ["A.x", "A.y", "B.z"]
+    assert attribute_loads(source) == {"x", "y", "z"}
+
+
+def test_every_dataclass_field_has_a_reader():
+    # a field nothing reads is dead state that every constructor must fill
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py"),
+               *(ROOT / "tests").glob("*.py")]
+    read = set().union(*(attribute_loads(p.read_text()) for p in sources))
+    unread = [f for path in sorted(PACKAGE.glob("*.py"))
+              for f in dataclass_fields(path.read_text())
+              if f.split(".")[1] not in read]
     assert unread == []
 
 

@@ -227,8 +227,8 @@ def utility_distance_over_demand(v, prices, bundle):
         if best is None or model.popcount(extra) < model.popcount(best[1]):
             best = (d, extra)
     if best is not None and model.popcount(best[1]) <= gap:
-        return structure.UtilityDistanceReport(gap, best[0], best[1], True)
-    return structure.UtilityDistanceReport(gap, None, None, False)
+        return structure.UtilityDistanceReport(gap, best[0], True)
+    return structure.UtilityDistanceReport(gap, None, False)
 
 
 def mixed_instance(rng):
