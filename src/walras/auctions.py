@@ -33,10 +33,18 @@ other bundle catches up before then.
 Either way the loop appends the steps without a view for each, stops at
 the iteration cap inside them as the unit-step loop would, and builds the
 next view where the copies end; the trace is the unit-step one, step for
-step. The other rules keep unit steps: a policy may read the price, the
-step index and its own random state, and the minimizer rule reads
-utilities outside the demand families and stays an independent
-computation to compare gs against.
+step. The copies of a replay are built in whole-array passes, not a step
+at a time: the prices as one rounds x r x m array of a_i + k * 1_U, the
+Lyapunov values as one of L(a_i) - k * fall_i, and the anomalies from
+comparing each value with the one before it. Each entry is linear in k,
+so an array is int64 when its entries at round 0 and at its last round
+leave room (model._int_dtype), else it holds Python integers: copies stay
+exact past 2**63.
+
+The other rules keep unit steps: a policy may read the price, the step
+index and its own random state, and the minimizer rule reads utilities
+outside the demand families and stays an independent computation to
+compare gs against.
 
 Engines never reject input. On valuations outside the substitutes
 class the loop may misbehave, so each step is watched: a Lyapunov
@@ -59,13 +67,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import add
+from itertools import cycle
 from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from . import demand
 from .model import (
-    Instance, InvariantViolation, Prices, add_indicator, check_price_count, dominated,
-    iter_items, prices_to_json,
+    Instance, InvariantViolation, Prices, _int_dtype, add_indicator, check_price_count,
+    dominated, iter_items, prices_to_json,
 )
 
 
@@ -73,8 +83,7 @@ class PolicyViolation(RuntimeError):
     """A step policy chose a set outside the current over-demanded set."""
 
 
-@dataclass(frozen=True)
-class AuctionStep:
+class AuctionStep(NamedTuple):
     t: int
     price_before: Prices
     raised: int
@@ -164,11 +173,6 @@ def _ascend(instance: Instance, algorithm: str, rule: RaiseRule,
             steps.append(step)
             p = add_indicator(p, raised)
         else:
-            copied = replay.steps[0].lyapunov_before - replay.first * replay.falls[0]
-            if copied != lyap:
-                raise InvariantViolation(
-                    f"step {step.t}: replayed Lyapunov value {copied} differs "
-                    f"from the view's {lyap} at {p}")
             p, capped = _append_rounds(steps, anomalies, replay, lyap, cap)
             if capped:
                 return stop(capped=True)
@@ -193,29 +197,44 @@ def _append_rounds(steps: list, anomalies: list, replay: _Replay, lyap: int,
     """Append the replay's rounds, step i of round k at a_i + k * 1_U with
     Lyapunov value L(a_i) - k * fall_i, up to the iteration cap.
 
-    Returns the price after the last appended step and whether the cap cut
-    the rounds short. A cut leaves the price inside the replay, where the
-    Lyapunov value is known without a view and the raise rule would choose
-    again, so the unit-step loop would stop there on the cap as well.
+    The first copy is the step at the current price, so its value must be
+    lyap, the view's there; a later copy whose value exceeds the one before
+    it records an anomaly. Returns the price after the last appended step
+    and whether the cap cut the rounds short. A cut leaves the price inside
+    the replay, where the Lyapunov value is known without a view and the
+    raise rule would choose again, so the unit-step loop would stop there on
+    the cap as well.
     """
-    unit = add_indicator((0,) * len(replay.steps[0].price_before), replay.items)
-    prices = [add_indicator(s.price_before, replay.items, replay.first)
-              for s in replay.steps]
-    t = len(steps)
-    for k in range(replay.first, replay.rounds):
-        for i, (s, fall) in enumerate(zip(replay.steps, replay.falls)):
-            price = prices[i]
-            value = s.lyapunov_before - k * fall
-            if value > lyap:
-                anomalies.append(f"lyapunov rose at step {t - 1}")
-            lyap = value
-            if t >= cap:
-                return price, True
-            steps.append(AuctionStep(t, price, s.raised, value, s.f_value, s.unique))
-            prices[i] = tuple(map(add, price, unit))
-            t += 1
-    last = steps[-1]
-    return add_indicator(last.price_before, last.raised), False
+    t0, r = len(steps), len(replay.steps)
+    _, base, raised, lyaps, f, unique = zip(*replay.steps)
+    # the step at the cap is priced and its value compared, but not appended
+    count = min((replay.rounds - replay.first) * r, cap - t0 + 1)
+    capped = t0 + count > cap
+    k = replay.first + np.arange(-(-count // r))[:, None]     # rounds x 1
+    last = replay.first + (count - 1) // r
+    unit = np.array(add_indicator((0,) * len(base[0]), replay.items))
+    prices = (np.array(base, dtype=_int_dtype(0, max(map(max, base)) + last))
+              + k[:, :, None] * unit).reshape(-1, len(unit))[:count]
+    prices = list(zip(*prices.T.tolist()))      # a tuple per copy from m columns
+    # each position's value is linear in k: int64 holds them all when it
+    # holds those of rounds 0 and last
+    ends = lyaps + tuple(v - last * fall for v, fall in zip(lyaps, replay.falls))
+    dtype = _int_dtype(min(ends), max(ends))
+    values = (np.array(lyaps, dtype=dtype)
+              - k * np.array(replay.falls, dtype=dtype)).ravel()[:count]
+    rose = np.flatnonzero(values[1:] > values[:-1]) + t0
+    values = values.tolist()
+    if values[0] != lyap:
+        raise InvariantViolation(
+            f"step {t0}: replayed Lyapunov value {values[0]} differs "
+            f"from the view's {lyap} at {prices[0]}")
+    anomalies.extend(f"lyapunov rose at step {t}" for t in rose.tolist())
+    steps.extend(map(AuctionStep._make, zip(
+        range(t0, t0 + count - capped), prices, cycle(raised), values, cycle(f),
+        cycle(unique))))
+    if capped:
+        return prices[-1], True
+    return add_indicator(prices[-1], raised[(count - 1) % r]), False
 
 
 def _long_step(instance: Instance, steps: list, step: AuctionStep

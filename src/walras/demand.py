@@ -542,7 +542,10 @@ def demand_families(instance: Instance, prices: Prices) -> tuple[tuple[int, ...]
     """
     util = _utilities(instance.players, prices)
     hit = util == util.max(axis=1, keepdims=True)
-    return tuple(tuple(int(s) for s in np.flatnonzero(row)) for row in hit)
+    # one nonzero pass over all players, row-major, split at each row's end
+    members = hit.nonzero()[1].tolist()
+    ends = np.cumsum(hit.sum(axis=1)).tolist()
+    return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def utilities_after_raise(players: Sequence[Valuation], prices: Prices) -> np.ndarray:

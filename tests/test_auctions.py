@@ -395,6 +395,43 @@ def test_wide_markets_replay_rounds():
         assert copied > 1000, make.__name__
 
 
+def test_anomalies_inside_copies_match_unit_steps():
+    # a monotone market whose replays copy Lyapunov rises: the copies must
+    # record each at the step the unit-step loop does, also when the cap
+    # cuts a replay, and at 470 the capped step's own value is a rise
+    inst = wide_monotone_instance(random.Random(34))
+    trace, spans = copied_spans(auctions.fine_auction, inst)
+    assert spans == [(3, 18), (21, 157), (161, 281), (284, 444), (453, 483), (486, 532)]
+    assert len(trace.steps) == 532 and len(trace.anomalies) == 13
+    rose = [int(a.rsplit(" ", 1)[1]) for a in trace.anomalies]
+    assert sum(any(b <= t < e for b, e in spans) for t in rose) == 10
+    assert trace == unit_step_fine(inst)
+    for cap in (100, 470):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(auctions, "iteration_cap", lambda instance: cap)
+            capped = auctions.fine_auction(inst)
+            assert capped.iteration_cap_hit and len(capped.steps) == cap
+            assert capped == unit_step_fine(inst)
+
+
+def test_copies_are_exact_past_int64():
+    # three players value each item past 2**62, so the Lyapunov value at
+    # zero prices passes 2**63: every copied value must stay exact
+    rng = random.Random(2016)
+    inst = make_instance([f"i{j}" for j in range(4)], [
+        make_unit_demand([(1 << 62 if i < 3 else 0) + rng.randint(512, 1024)
+                          for _ in range(4)])
+        for i in range(7)])
+    assert demand.lyapunov(inst, inst.zero_prices()) == 13_835_058_055_282_170_183
+    for run, reference, steps, copies in (
+            (auctions.gul_stacchetti, unit_step_gs, 962, 956),
+            (auctions.fine_auction, unit_step_fine, 3568, 3501)):
+        trace, spans = copied_spans(run, inst)
+        assert len(trace.steps) == steps
+        assert sum(end - begin for begin, end in spans) == copies
+        assert trace == reference(inst)
+
+
 def test_fine_replays_build_few_views(monkeypatch):
     # over 5,000 fine steps on the market where gs takes long steps, nearly
     # all of them copies of a round that repeats
@@ -480,6 +517,20 @@ def test_lyapunov_falls_by_at_most_the_excess(monkeypatch):
                         lambda inst, p, bundle: real(inst, p, bundle) - 1)
     with pytest.raises(walras.InvariantViolation, match="more than the excess"):
         auctions.gul_stacchetti(two_buyers_one_item())
+
+
+def test_replayed_lyapunov_value_must_match_the_view(monkeypatch):
+    # a round's fall understated by one puts the first copy's Lyapunov
+    # value above the one the view reads at the same price
+    real = auctions._round_at
+
+    def understated(*args):
+        replay = real(*args)
+        return replay and replay._replace(falls=tuple(f - 1 for f in replay.falls))
+
+    monkeypatch.setattr(auctions, "_round_at", understated)
+    with pytest.raises(walras.InvariantViolation, match="replayed Lyapunov value"):
+        auctions.fine_auction(deep_style_market())
 
 
 def test_overstated_break_point_survives_python_O():
