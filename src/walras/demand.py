@@ -85,8 +85,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
-    DEFAULT_OP_BUDGET, BudgetExceeded, Instance, Prices, Valuation, check_index,
-    check_price_count, lex_key, popcount, price_of,
+    DEFAULT_OP_BUDGET, BudgetExceeded, Instance, Prices, Valuation, _int_dtype,
+    check_index, check_price_count, lex_key, popcount, price_of,
 )
 
 
@@ -109,11 +109,18 @@ def _static(m: int):
     return bits, pc
 
 
+def _bundle_prices(m: int, prices: Prices) -> np.ndarray:
+    """Every bundle's price, int64 while _int_dtype allows m * max |p|."""
+    top = m * max(map(abs, prices))
+    return _static(m)[0] @ np.asarray(prices, dtype=_int_dtype(-top, top))
+
+
 def _utilities(players: Sequence[Valuation], prices: Prices) -> np.ndarray:
     """players x 2**m: each value table minus the price of every bundle."""
-    bits, _ = _static(players[0].m)
     util = np.stack([v.np_table for v in players])
-    util -= bits @ np.asarray(prices, dtype=np.int64)
+    pcost = _bundle_prices(players[0].m, prices)
+    util = util.astype(np.result_type(util, pcost), copy=False)
+    util -= pcost
     return util
 
 
@@ -345,7 +352,7 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
         row = _shift(rows[i], rise, m) if shifting else None
         if row is None:
             if pcost is None:
-                pcost = _static(m)[0] @ np.asarray(prices, dtype=np.int64)
+                pcost = _bundle_prices(m, prices)
             row = _row(players[i], pcost)
         rows[i] = row
     utility, families, minimals, reach, below, overlap = zip(*rows)
@@ -513,12 +520,13 @@ def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[i
     _, pc = _static(instance.m)
     meet = pc[_masks(instance.m) & raised]
     util = _utilities(instance.players, prices)
-    top = np.array(view.utility, dtype=np.int64)
+    top = np.array(view.utility, dtype=util.dtype)
     over = np.array(held, dtype=np.int64)
+    # every level up to |R| has bundles, so the initial never survives
+    floor = np.iinfo(np.int64).min if util.dtype == np.int64 else float("-inf")
     found = []
     for level in range(max(held)):
-        # every level up to |R| has bundles, so the initial never survives
-        best = util.max(axis=1, where=meet == level, initial=np.iinfo(np.int64).min)
+        best = util.max(axis=1, where=meet == level, initial=floor)
         behind = over > level
         # ceil((u_i - u_T) / (c_i - level)) by exact floor division
         found.append((-((best - top)[behind] // (over[behind] - level))).min())
@@ -555,11 +563,18 @@ def utilities_after_raise(players: Sequence[Valuation], prices: Prices) -> np.nd
 
 
 def lyapunov_after_raise(instance: Instance, prices: Prices) -> np.ndarray:
-    """L(p + 1_S) for every bundle S, by one sweep: |S| + sum(p) plus the
-    players' best utilities at p + 1_S."""
+    """L(p + 1_S) for every bundle S, by one sweep: the players' best
+    utilities at p + 1_S plus |S| + sum(p), in that order. Each utility lies
+    between its empty-bundle value and vmax less the least bundle price;
+    when n such bounds may leave int64, the sum is in Python integers."""
     prices = tuple(prices)
     _, pc = _static(instance.m)
-    return pc + sum(prices) + utilities_after_raise(instance.players, prices).sum(axis=0)
+    util = utilities_after_raise(instance.players, prices)
+    bound = max(abs(instance.vmax), *(abs(v.table[0]) for v in instance.players))
+    bound = instance.n * (bound + instance.m * max(0, -min(prices)))
+    if _int_dtype(-bound, bound) is object:
+        util = util.astype(object)
+    return util.sum(axis=0) + pc + sum(prices)
 
 
 def minimal_minimizer_report(instance: Instance, prices: Prices) -> MinimizerReport:

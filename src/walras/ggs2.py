@@ -8,8 +8,9 @@ it runs one step of the substitutes auction induced on them; once a
 saturating matching exists it counts unmatched players n' against
 unmatched minimum-price items m' and either stops (2n' <= m') or
 raises every minimum-price item by one and rebuilds. Both counts come
-from the sizes of two maximum matchings of the singleton demand graph,
-not from whichever maximum matching a routine happens to build.
+from the sizes of two maximum matchings of the singleton demand graph
+(a dict of adjacency lists), not from whichever maximum matching a
+routine happens to build.
 
 At the stop price the allocation is not rebuilt from the matching: the
 oracle certifies the price by strong duality, and its certificate carries
@@ -46,12 +47,6 @@ class PlayerClass:
     small: tuple[int, ...]          # positive utility, singleton demands only
     pair_players: tuple[int, ...]   # positive utility, some demanded pair
     empty_demand: tuple[int, ...]   # zero utility; set aside
-
-
-@dataclass(frozen=True)
-class DemandGraph:
-    left: tuple[int, ...]           # player indices
-    edges: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -110,20 +105,18 @@ def min_items(prices: Prices) -> int:
 
 
 def build_demand_graph(instance: Instance, prices: Prices,
-                       players: Sequence[int]) -> DemandGraph:
-    """Edges (i, x) for every singleton {x} demanded by player i."""
-    prices = tuple(prices)
-    reports = demand.demand_reports(instance, prices)
-    edges = []
-    for i in sorted(players):
-        for s in reports[i].demand:
-            if popcount(s) == 1:
-                edges.append((i, s.bit_length() - 1))
-    return DemandGraph(left=tuple(sorted(players)), edges=tuple(edges))
+                       players: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """Each player, in increasing order, mapped to the items x, in
+    increasing order, whose singleton {x} it demands."""
+    reports = demand.demand_reports(instance, tuple(prices))
+    return {i: tuple(s.bit_length() - 1 for s in reports[i].demand
+                     if popcount(s) == 1)
+            for i in sorted(players)}
 
 
-def max_matching(g: DemandGraph, must_match: Sequence[int]) -> MatchingResult:
-    """Deterministic maximum matching saturating must_match.
+def max_matching(g: dict[int, Sequence[int]], must_match: Sequence[int]) -> MatchingResult:
+    """Deterministic maximum matching saturating must_match, trying the
+    players of g and their items in g's order.
 
     Saturates must_match first (raising HallViolation with a witness set
     when impossible), then grows to maximum size by augmenting paths,
@@ -132,19 +125,14 @@ def max_matching(g: DemandGraph, must_match: Sequence[int]) -> MatchingResult:
     the matching.
     """
     must = sorted(must_match)
-    if set(must) - set(g.left):
+    if set(must) - g.keys():
         raise ValueError("must_match outside the graph")
-    adj: dict[int, list[int]] = {i: [] for i in g.left}
-    for i, x in g.edges:
-        adj[i].append(x)
-    for i in adj:
-        adj[i].sort()
 
     match_p: dict[int, int] = {}
     match_i: dict[int, int] = {}
 
     def augment(i: int, seen_items: set[int]) -> bool:
-        for x in adj[i]:
+        for x in g[i]:
             if x in seen_items:
                 continue
             seen_items.add(x)
@@ -162,24 +150,24 @@ def max_matching(g: DemandGraph, must_match: Sequence[int]) -> MatchingResult:
             witness = tuple(sorted({i} | {match_i[x] for x in seen}))
             raise HallViolation(witness)
 
-    for i in g.left:
+    for i in g:
         if i not in match_p:
             augment(i, set())
 
     # alternating reachability from unmatched players yields the cover
-    reach_p: set[int] = {i for i in g.left if i not in match_p}
+    reach_p: set[int] = {i for i in g if i not in match_p}
     reach_i: set[int] = set()
     frontier = list(reach_p)
     while frontier:
         i = frontier.pop()
-        for x in adj[i]:
+        for x in g[i]:
             if x not in reach_i:
                 reach_i.add(x)
                 holder = match_i.get(x)
                 if holder is not None and holder not in reach_p:
                     reach_p.add(holder)
                     frontier.append(holder)
-    cover_players = tuple(i for i in g.left if i not in reach_p)
+    cover_players = tuple(i for i in g if i not in reach_p)
     cover_items = tuple(x for x in sorted(reach_i))
     matching = tuple(sorted(match_p.items()))
     if len(cover_players) + len(cover_items) != len(matching):
@@ -187,17 +175,17 @@ def max_matching(g: DemandGraph, must_match: Sequence[int]) -> MatchingResult:
     return MatchingResult(matching, cover_players, cover_items)
 
 
-def _stop_counts(g: DemandGraph, low: int,
+def _stop_counts(g: dict[int, Sequence[int]], low: int,
                  must_match: Sequence[int]) -> tuple[int, int]:
     """(n', m'): the players of g and the items of low left free by a
     maximum matching saturating must_match that matches as many items
     outside low as any matching does. With nu a maximum matching's size
-    and r that of one avoiding low, n' = |left| - nu and m' = |low| - nu
-    + r, since such a matching exists (Mendelsohn-Dulmage)."""
+    and r that of one avoiding low, n' = |g| - nu and m' = |low| - nu + r,
+    since such a matching exists (Mendelsohn-Dulmage)."""
     nu = len(max_matching(g, must_match).matching)
-    high = DemandGraph(g.left, tuple(e for e in g.edges if not low >> e[1] & 1))
+    high = {i: tuple(x for x in xs if not low >> x & 1) for i, xs in g.items()}
     r = len(max_matching(high, must_match=()).matching)
-    return len(g.left) - nu, popcount(low) - nu + r
+    return len(g) - nu, popcount(low) - nu + r
 
 
 def ggs2_auction(instance: Instance) -> tuple[AuctionTrace, oracle.WalrasianCertificate]:

@@ -21,8 +21,8 @@ pass over the entries' types, the range check a min and a max, and the
 monotonicity scan a numpy pass from ARRAY_SCAN_MIN (2**6) entries. The
 unit-demand fill is a numpy pass from ARRAY_FILL_MIN (2**10) entries;
 the additive and truncation fills stay list loops. Below those sizes
-numpy's fixed cost per call is the larger one. The numpy passes run on
-int64 while values stay below 2**61 and on Python integers past that.
+numpy's fixed cost per call is the larger one. The numpy passes and
+np_table hold int64 within 2**61 of zero and Python integers past it.
 Reading a JSON table player still parses and checks its bundle keys one
 at a time.
 
@@ -146,7 +146,13 @@ class Valuation:
 
     @cached_property
     def np_table(self):
-        arr = np.asarray(self.table, dtype=np.int64)
+        # int64 while _int_dtype allows, else (or on overflow) Python integers
+        try:
+            arr = np.asarray(self.table, dtype=np.int64)
+            if _int_dtype(arr.min(), arr.max()) is object:
+                raise OverflowError
+        except OverflowError:
+            arr = np.asarray(self.table, dtype=object)
         arr.setflags(write=False)
         return arr
 

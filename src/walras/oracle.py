@@ -70,8 +70,10 @@ def max_welfare(instance: Instance) -> WelfareResult:
     The table best[mask] after processing players i..n-1 holds the best
     welfare achievable handing out items from mask, visiting every
     (player, submask) pair once. Exhaustive, so it is the ground truth the
-    engines are compared against. The n * 3**m steps are checked against
-    the op budget on every call, and the result is cached per instance.
+    engines are compared against. Each player in turn takes the smallest
+    submask of the items left that keeps the optimum. The n * 3**m steps
+    are checked against the op budget on every call, and the result is
+    cached per instance.
     """
     budget = env_budget(DEFAULT_OP_BUDGET)
     m, n = instance.m, instance.n
@@ -86,21 +88,19 @@ def _welfare(instance: Instance) -> WelfareResult:
     suffix = _suffix_tables(instance)
     welfare = suffix[0][full]
 
-    # deterministic reconstruction: each player takes the smallest bundle
-    # that preserves the optimum
+    # (s - remaining) & remaining is the next submask of remaining after s
     alloc = []
     remaining = full
     for i, v in enumerate(instance.players):
         after = suffix[i + 1]
         target = suffix[i][remaining]
-        chosen = None
-        cands = _submasks_ascending(remaining)
-        for s in cands:
-            if v.table[s] + after[remaining ^ s] == target:
-                chosen = s
-                break
-        alloc.append(chosen)
-        remaining ^= chosen
+        s = 0
+        while v.table[s] + after[remaining ^ s] != target:
+            if s == remaining:
+                raise InvariantViolation(f"player {i}: no bundle keeps the optimum")
+            s = (s - remaining) & remaining
+        alloc.append(s)
+        remaining ^= s
     return WelfareResult(welfare=welfare, allocation=tuple(alloc))
 
 
@@ -125,16 +125,6 @@ def _suffix_tables(instance: Instance):
             cur[mask] = top
         tables.insert(0, cur)
     return tables
-
-
-def _submasks_ascending(mask: int) -> list[int]:
-    subs = [0]
-    s = mask
-    while s:
-        subs.append(s)
-        s = (s - 1) & mask
-    subs.sort()
-    return subs
 
 
 def envy_free_exists(instance: Instance, prices: Prices) -> Optional[Allocation]:
@@ -314,7 +304,7 @@ def minimal_walrasian_price(instance: Instance) -> Optional[MinimalPriceReport]:
         # best utility over the bundles without item k (out) and with it
         # (into), then per price x of item k max(out, into - x), updated in
         # place: max(out, max(out, into - x + 1) - 1) is the same value
-        table = v.np_table.reshape(-1, 2, 1 << k).max(axis=0)
+        table = v.np_table.astype(np.int64, copy=False).reshape(-1, 2, 1 << k).max(axis=0)
         out, into = demand._raise_sweep(table, options)
         for part in lvals.reshape(radix[k], -1):
             np.maximum(into, out, out=into)

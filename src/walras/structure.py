@@ -87,12 +87,12 @@ def check_gs_on_grid(v: Valuation) -> Optional[GsWitness]:
     which WALRAS_BUDGET overrides.
     """
     m = v.m
-    doubled = np.asarray(v.table, dtype=np.int64) * 2
     budget = env_budget(DEFAULT_GRID_BUDGET)
     radix = 2 * v.vmax + 2
     points = radix ** m
     if points << m > budget:
         raise BudgetExceeded(f"grid scan holds {points << m} entries, budget {budget}")
+    doubled = v.np_table * 2
 
     bits, _ = demand._static(m)
     # demanded[p + (S,)]: bundle S is demanded at grid price p

@@ -438,8 +438,7 @@ def test_demand_families_match_the_per_row_reference(seed, kind, values):
         inst = make_instance(list(inst.items), [big, *inst.players[1:]])
     with pytest.MonkeyPatch.context() as mp:
         if values == "object":
-            # value tables hold int64, so Python integers reach the split
-            # only through the utility matrix
+            # a utility matrix of Python integers, whatever the tables hold
             real = demand._utilities
             mp.setattr(demand, "_utilities", lambda *a: real(*a).astype(object))
         got = demand.demand_families(inst, p)
@@ -653,3 +652,127 @@ def test_excess_demand_rejects_a_bundle_outside_the_market(monkeypatch, bundle):
         demand.excess_demand(inst, (0,), bundle)
     monkeypatch.undo()
     assert demand.excess_demand(inst, (0,), 1) == 1
+
+
+def test_unit_demand_past_int64_answers_demand_queries():
+    # the value table used to convert to int64 at the first demand query
+    inst = make_instance(["a", "b", "c"], [make_unit_demand((2 ** 64, 2 ** 62, 2 ** 62))])
+    assert demand.lyapunov(inst, (0, 0, 0)) == 18_446_744_073_709_551_616
+
+
+def test_bundle_prices_past_int64_are_exact():
+    # three prices of 3 * 2**61 used to wrap to a negative bundle price
+    inst = make_instance(["a", "b", "c"], [make_unit_demand((2 ** 62,) * 3)])
+    p = (3 * 2 ** 61,) * 3
+    assert demand.demand_families(inst, p) == ((0,),)
+    assert demand.lyapunov(inst, p) == 20_752_587_082_923_245_568
+
+
+def test_lyapunov_after_raise_sums_players_past_int64():
+    # five best utilities of about 2**61 used to wrap in the int64 sum
+    inst = make_instance(["a", "b"], [make_unit_demand((2 ** 61 - 1, 5))] * 5)
+    rep = demand.minimal_minimizer_report(inst, (0, 0))
+    assert rep == demand.MinimizerReport(
+        bundle=1, lyapunov_after=11_529_215_046_068_469_751, unique=True)
+
+
+@pytest.mark.parametrize("players, p", [
+    # at a price of 8 - 2**61 each of six players gains about 2**61
+    ([make_unit_demand((0,))] * 6, (8 - 2 ** 61,)),
+    # five players value every bundle at 1 - 2**61, the empty one too
+    ([model.make_table(1, [1 - 2 ** 61] * 2)] * 5 + [make_unit_demand((5,))], (0,)),
+])
+def test_lyapunov_after_raise_bounds_every_best_utility(players, p):
+    inst = make_instance(["a"], players)
+    assert demand.lyapunov_after_raise(inst, p).tolist() == \
+        python_after_raise(inst, p, python_rows(inst, p))
+
+
+def python_rows(inst, p):
+    """Per player, from the value table in Python integers: the best
+    utility, the demand family and the minimal demand family."""
+    rows = []
+    for v in inst.players:
+        util = [v.table[s] - model.price_of(p, s) for s in range(1 << inst.m)]
+        top = max(util)
+        family = [s for s, u in enumerate(util) if u == top]
+        minimal = [s for s in family if not any(t != s and t & s == t for t in family)]
+        rows.append((top, tuple(family), tuple(minimal), util))
+    return rows
+
+
+def python_obstacle(inst, p, rows):
+    overlap = [[min(popcount(d & s) for d in minimal) for s in range(1 << inst.m)]
+               for _, _, minimal, _ in rows]
+    excess = [sum(row[s] for row in overlap) - popcount(s) for s in range(1 << inst.m)]
+    top = max(excess)
+    if top <= 0:
+        return demand.ObstacleReport(0, 0, (0,) * inst.n, True)
+    winners = [s for s in range(1 << inst.m) if excess[s] == top]
+    minimal = [s for s in winners if not any(t != s and t & s == t for t in winners)]
+    best = min(minimal, key=model.lex_key)
+    return demand.ObstacleReport(best, top, tuple(row[best] for row in overlap),
+                                 len(minimal) == 1)
+
+
+def python_after_raise(inst, p, rows):
+    return [popcount(s) + sum(p) + sum(max(u - popcount(s & t) for t, u in enumerate(util))
+                                       for _, _, _, util in rows)
+            for s in range(1 << inst.m)]
+
+
+def python_stable_raises(rows, raised):
+    held = []
+    for _, family, _, _ in rows:
+        counts = {popcount(s & raised) for s in family}
+        if len(counts) > 1:
+            return 1
+        held.append(counts.pop())
+    if not any(held):
+        return None
+    # ceil((top - u_T) / (c - |T & R|)) over the bundles T meeting R less
+    return min(-((u - top) // (c - popcount(t & raised)))
+               for (top, _, _, util), c in zip(rows, held)
+               for t, u in enumerate(util) if popcount(t & raised) < c)
+
+
+SHIFTS = (0, 2 ** 61 - 8, 2 ** 62, 2 ** 63, 2 ** 70, -2 ** 70)
+PRICE_BASES = (0, 2 ** 61 - 8, 2 ** 62, 2 ** 63, 2 ** 65, -2 ** 59)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.sampled_from(KINDS))
+def test_demand_matches_python_integers_past_int64(seed, kind):
+    # each table is shifted by a constant on its nonempty bundles, or on
+    # all of them, and prices sit near a large base; most players share
+    # one shift and most items one base, so values, bundle prices and sums
+    # over players pass int64 together. The reference is Python integers.
+    rng = random.Random(seed)
+    base = market_of(rng, kind, rng.randint(1, 4), rng.randint(1, 6))
+    shift, price = rng.choice(SHIFTS), rng.choice(PRICE_BASES)
+    players = []
+    for v in base.players:
+        mine = shift if rng.random() < 0.8 else rng.choice(SHIFTS)
+        whole = rng.random() < 0.3
+        players.append(model.make_table(v.m, [x + mine if s or whole else x
+                                              for s, x in enumerate(v.table)]))
+    inst = make_instance(list(base.items), players)
+    p = tuple((price if rng.random() < 0.8 else rng.choice(PRICE_BASES))
+              + rng.randint(-3, 12) for _ in range(inst.m))
+    rows = python_rows(inst, p)
+
+    assert demand.demand_families(inst, p) == tuple(family for _, family, _, _ in rows)
+    assert demand.lyapunov(inst, p) == sum(top for top, _, _, _ in rows) + sum(p)
+    assert demand.demand_reports(inst, p) == tuple(
+        demand.DemandReport(i, top, family, minimal)
+        for i, (top, family, minimal, _) in enumerate(rows))
+    assert demand.over_demanded_set(inst, p) == python_obstacle(inst, p, rows)
+    after = python_after_raise(inst, p, rows)
+    assert demand.lyapunov_after_raise(inst, p).tolist() == after
+    low = min(after)
+    smallest = min(popcount(s) for s, x in enumerate(after) if x == low)
+    winners = [s for s, x in enumerate(after) if x == low and popcount(s) == smallest]
+    assert demand.minimal_minimizer_report(inst, p) == demand.MinimizerReport(
+        min(winners, key=model.lex_key), low, len(winners) == 1)
+    raised = rng.randint(1, (1 << inst.m) - 1)
+    assert demand.stable_raises(inst, p, raised) == python_stable_raises(rows, raised)

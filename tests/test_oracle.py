@@ -67,6 +67,43 @@ def test_welfare_matches_assignment_enumeration():
             == res.welfare
 
 
+def sorted_list_allocation(inst):
+    """The retired reconstruction, kept as the reference: each player in
+    turn lists every submask of the items left, sorts them, and takes the
+    first that keeps the optimum."""
+    suffix = oracle._suffix_tables(inst)
+    remaining = (1 << inst.m) - 1
+    alloc = []
+    for i, v in enumerate(inst.players):
+        subs = [0]
+        s = remaining
+        while s:
+            subs.append(s)
+            s = (s - 1) & remaining
+        subs.sort()
+        chosen = next(s for s in subs
+                      if v.table[s] + suffix[i + 1][remaining ^ s] == suffix[i][remaining])
+        alloc.append(chosen)
+        remaining ^= chosen
+    return tuple(alloc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.sampled_from(("gs", "paircap", "monotone")), st.booleans())
+def test_welfare_allocation_matches_the_sorted_list_reconstruction(seed, kind, twin):
+    # a twin of the first player ties every optimum that gives it a bundle
+    rng = random.Random(seed)
+    if kind == "gs":
+        inst = conftest.random_gs_instance(rng, max_m=5)
+    elif kind == "paircap":
+        inst = conftest.random_ggs2_instance(rng, max_m=5)
+    else:
+        inst = conftest.random_monotone_instance(rng)
+    if twin:
+        inst = make_instance(list(inst.items), [*inst.players, inst.players[0]])
+    assert oracle.max_welfare(inst).allocation == sorted_list_allocation(inst)
+
+
 def test_envy_free_search():
     inst = two_buyers_one_item()
     assert oracle.envy_free_exists(inst, (0,)) is None
@@ -253,6 +290,13 @@ def all_or_nothing(m, value, players=2):
     summing to value clear the market, so no minimal price is least."""
     whole = model.make_table(m, [0] * ((1 << m) - 1) + [value])
     return make_instance(list("abcd"[:m]), [whole] * players)
+
+
+def test_grid_sweep_reads_a_table_past_2_61_in_int64():
+    # the value table's array holds Python integers past 2**61 in magnitude
+    inst = make_instance(["a", "b"], [model.make_table(2, [0, 1, 1, -2 ** 62]),
+                                      make_unit_demand((1, 1))])
+    assert oracle.minimal_walrasian_price(inst).price == (0, 0)
 
 
 def test_grid_sweep_when_the_last_items_have_one_price():

@@ -145,6 +145,12 @@ def test_grid_budget_counts_the_utilities_it_holds(monkeypatch):
         structure.check_gs_on_grid(make_unit_demand((1,) * 9))
 
 
+def test_grid_budget_is_checked_before_the_table_is_doubled():
+    # the table used to convert to int64 first, which overflows at 2**63
+    with pytest.raises(oracle.BudgetExceeded, match="grid scan holds"):
+        structure.check_gs_on_grid(make_unit_demand((2 ** 63, 1)))
+
+
 def test_matroid_checker():
     assert structure.check_matroid_bases((0b001, 0b010, 0b100)) is None
     assert structure.check_matroid_bases((0b011, 0b101, 0b110)) is None
