@@ -42,9 +42,17 @@ handful of minimal members, cost no Python per member.
 The per-price views behind these reports are memoized for one market at a
 time: the instance (or, for demand_sets and min_demand_overlap, the
 valuation) queried last, compared by identity, so the engines run on one
-market share its views without hashing its tables. A query on another
-market starts the memo afresh; once the views count MEMO_ENTRIES int64
-entries (more than they hold), each new view replaces the last one added.
+market share its views without hashing its tables. With the views the memo
+holds what every view of the market reuses: one read-only uint8 overlap
+row per minimal demand family met, which every player and view with that
+family shares, and the players' value tables stacked into one n x 2**m
+array the first time a table pass (stable_raises, demand_families,
+utilities_after_raise) asks for it. A query on another market starts the
+memo afresh. Everything held counts against MEMO_ENTRIES int64 entries: a
+view (n + 2) * 2**m (more than it holds), a row its 2**m bytes, the
+stacked tables n * 2**m. Rows and tables go in while one view still fits
+beside them, and views make room for them; once the count is full, each
+new view replaces the last one added and no row is added.
 
 Ascending auctions only raise prices, and a new view is built from the one
 the memo returned last whenever no price fell since. Going from b to q >= b
@@ -66,10 +74,10 @@ bundle of cost low contains a minimal one of cost at most low, hence low).
 The members of D that cost more leave it, and below rises to the best of
 their new utilities. A row whose demand family has more than SCAN_MEMBERS
 bundles, or that fails the test, is scanned from its value table again, by
-the same code and budget checks as a full build. The overlap rows are
-read-only uint8 arrays shared between views: a shifted row recomputes its
-overlaps only when D* lost a member, and the excess is the base's plus the
-change in the rows that did. On the benchmark's deep markets a view the
+the same code and budget checks as a full build. A row's overlaps come
+from the memo whenever its D* was met before on the market, so only a row
+whose D* changed is a different array, and the excess is the base's plus
+the change in those rows. On the benchmark's deep markets a view the
 fine auction builds redoes about a quarter of the players' rows, and
 about a third of those are scanned again.
 """
@@ -109,19 +117,36 @@ def _static(m: int):
     return bits, pc
 
 
+@lru_cache(maxsize=32)
+def _halves(m: int) -> np.ndarray:
+    """The bit matrices of the high and the low half of m items, as the two
+    diagonal blocks of one read-only matrix with m columns: first a row per
+    bundle of items m // 2 .. m - 1, then one per bundle of the items below."""
+    low = m // 2
+    high_bits, low_bits = _static(m - low)[0], _static(low)[0]
+    blocks = np.zeros((len(high_bits) + len(low_bits), m), dtype=np.int64)
+    blocks[:len(high_bits), low:] = high_bits
+    blocks[len(high_bits):, :low] = low_bits
+    blocks.setflags(write=False)
+    return blocks
+
+
 def _bundle_prices(m: int, prices: Prices) -> np.ndarray:
-    """Every bundle's price, int64 while _int_dtype allows m * max |p|."""
+    """Every bundle's price, int64 while _int_dtype allows m * max |p|.
+
+    A mask is its high items above its low ones, so its price is the price
+    of its high half plus that of its low half: one product with _halves(m),
+    of about 2 * 2**(m/2) rows, and one broadcast add of 2**m entries.
+    """
     top = m * max(map(abs, prices))
-    return _static(m)[0] @ np.asarray(prices, dtype=_int_dtype(-top, top))
+    half = _halves(m) @ np.asarray(prices, dtype=_int_dtype(-top, top))
+    high = 1 << (m - m // 2)
+    return (half[:high, None] + half[high:]).ravel()
 
 
 def _utilities(players: Sequence[Valuation], prices: Prices) -> np.ndarray:
     """players x 2**m: each value table minus the price of every bundle."""
-    util = np.stack([v.np_table for v in players])
-    pcost = _bundle_prices(players[0].m, prices)
-    util = util.astype(np.result_type(util, pcost), copy=False)
-    util -= pcost
-    return util
+    return _stacked(players) - _bundle_prices(players[0].m, prices)
 
 
 def _grid_sum(offsets) -> np.ndarray:
@@ -226,11 +251,13 @@ class _MarketView:
         self.excess = excess        # excess demand per bundle mask
 
 
-# The most int64 entries held in the views of one market (16 MB); a view
-# of n players counts as (n + 2) * 2**m entries: n overlap rows, the excess
-# and its demand families as one array. That is an upper bound, since the
-# overlap rows are uint8 and a view shares those of the players its prices
-# left alone with the view it was built from.
+# The most int64 entries the memo holds for one market (16 MB). A view of
+# n players counts as (n + 2) * 2**m entries: n overlap rows, the excess
+# and its demand families as one array, an upper bound since its rows are
+# uint8 and shared. A shared overlap row counts as its 2**m bytes (2**m / 8
+# entries, at least one), the stacked value tables as their n * 2**m.
+# Every view reads the rows and tables, so views make room for them while
+# one view still fits beside them; past that no row is added.
 # An engine visits each price once, so the views worth keeping are the
 # first ones, which a later engine on the same market walks again from the
 # same start: once the memo is full, each new view replaces the last one
@@ -242,14 +269,48 @@ class _MarketView:
 # those whose demand meets a raised item (see the module docstring).
 MEMO_ENTRIES = 1 << 21
 
-# (owner, views by price, prices of the view returned last, that view) for
+# (owner, views by price, prices of the view returned last, that view,
+# overlap rows by minimal demand family, stacked value tables or None) for
 # the market queried last. Swapped as one tuple, so a reader never pairs
-# one market's owner with another's views.
-_memo: tuple[object, dict, Optional[Prices], Optional[_MarketView]] = (
-    None, {}, None, None)
+# one market's owner with another's views, rows or tables.
+_memo: tuple[object, dict, Optional[Prices], Optional[_MarketView], dict,
+             Optional[np.ndarray]] = (None, {}, None, None, {}, None)
 
 # below when every bundle is demanded
 _NO_BUNDLE = int(np.iinfo(np.int64).min)
+
+
+def _row_entries(m: int) -> int:
+    """What one shared uint8 overlap row counts against MEMO_ENTRIES."""
+    return max(1, 1 << m >> 3)
+
+
+def _make_room(views: dict, size: int, other: int) -> None:
+    """Drop the views added last until they, at size entries each, and
+    other entries fit in MEMO_ENTRIES."""
+    while views and len(views) * size + other > MEMO_ENTRIES:
+        with suppress(KeyError):    # emptied by another thread
+            views.popitem()
+
+
+def _stacked(players: Sequence[Valuation]) -> np.ndarray:
+    """The players' value tables as one read-only players x 2**m array,
+    built once per market: held with the memo when they are the players of
+    the instance it holds and the memo has room (see MEMO_ENTRIES)."""
+    global _memo
+    owner, views, prices, view, rows, table = _memo
+    ours = getattr(owner, "players", None) is players
+    if ours and table is not None:
+        return table
+    table = np.stack([v.np_table for v in players])
+    table.setflags(write=False)
+    n, m = table.shape[0], players[0].m
+    size = (n + 2) << m
+    held = len(rows) * _row_entries(m) + table.size
+    if ours and held + size <= MEMO_ENTRIES:
+        _make_room(views, size, held)
+        _memo = (owner, views, prices, view, rows, table)
+    return table
 
 
 def _overlap_row(minimal: tuple[int, ...], m: int) -> np.ndarray:
@@ -267,11 +328,11 @@ def _overlap_row(minimal: tuple[int, ...], m: int) -> np.ndarray:
     return row
 
 
-def _row(v: Valuation, pcost: np.ndarray):
+def _row(v: Valuation, pcost: np.ndarray, overlap_of):
     """One player's view row at the prices whose bundle costs are pcost:
     best utility, demand family, minimal demand family, the union of its
     demanded bundles, the best utility of an undemanded bundle and the
-    overlap row."""
+    overlap row, which overlap_of gives for the minimal demand family."""
     util = v.np_table - pcost
     top = int(util.max())
     hit = (util == top).nonzero()[0]
@@ -279,7 +340,7 @@ def _row(v: Valuation, pcost: np.ndarray):
     util[hit] = _NO_BUNDLE
     below = int(util.max())
     return (top, tuple(hit.tolist()), minimal, int(np.bitwise_or.reduce(hit)),
-            below, _overlap_row(minimal, v.m))
+            below, overlap_of(minimal))
 
 
 def _rise_costs(bundles, rise: tuple[tuple[int, int], ...]) -> list[int]:
@@ -291,7 +352,7 @@ def _rise_costs(bundles, rise: tuple[tuple[int, int], ...]) -> list[int]:
     return costs
 
 
-def _shift(row, rise: tuple[tuple[int, int], ...], m: int):
+def _shift(row, rise: tuple[tuple[int, int], ...], overlap_of):
     """The row after a price rise from the row before it, or None when an
     undemanded bundle may catch up or the family is too large to walk in
     Python (see the module docstring)."""
@@ -314,7 +375,7 @@ def _shift(row, rise: tuple[tuple[int, int], ...], m: int):
     kept_minimal = tuple(t for t, c in zip(minimal, _rise_costs(minimal, rise))
                          if c == low)
     if kept_minimal != minimal:
-        overlap = _overlap_row(kept_minimal, m)
+        overlap = overlap_of(kept_minimal)
     return top - low, tuple(kept), kept_minimal, reach, below, overlap
 
 
@@ -322,17 +383,30 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
           prices: Prices) -> _MarketView:
     global _memo
     prices = tuple(prices)
-    held, views, base_prices, base = _memo
+    held, views, base_prices, base, shared, table = _memo
     if held is owner:
         view = views.get(prices)
         if view is not None:
-            _memo = (owner, views, prices, view)
+            _memo = (owner, views, prices, view, shared, table)
             return view
     else:
-        views, base = {}, None
-        _memo = (owner, views, None, None)
+        views, base, shared, table = {}, None, {}, None
+        _memo = (owner, views, None, None, shared, None)
     check_price_count(prices, m)
     n = len(players)
+    size, row_size = (n + 2) << m, _row_entries(m)
+    fixed = 0 if table is None else table.size
+    # rows the memo may hold with the tables and one view
+    limit = (MEMO_ENTRIES - size - fixed) // row_size
+
+    def overlap_of(minimal: tuple[int, ...]) -> np.ndarray:
+        row = shared.get(minimal)
+        if row is None:
+            row = _overlap_row(minimal, m)
+            if len(shared) < limit:
+                shared[minimal] = row
+        return row
+
     shifting = base is not None and all(q >= b for q, b in zip(prices, base_prices))
     if shifting:
         # rows whose demand avoids every raised item are the base's
@@ -349,15 +423,16 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
         rows, stale = [None] * n, range(n)
     pcost = None
     for i in stale:
-        row = _shift(rows[i], rise, m) if shifting else None
+        row = _shift(rows[i], rise, overlap_of) if shifting else None
         if row is None:
             if pcost is None:
                 pcost = _bundle_prices(m, prices)
-            row = _row(players[i], pcost)
+            row = _row(players[i], pcost, overlap_of)
         rows[i] = row
     utility, families, minimals, reach, below, overlap = zip(*rows)
     if shifting:
         excess = base.excess
+        # a row rescanned to the same minimal family is the same object
         changed = [i for i in stale if overlap[i] is not base.overlap[i]]
         if changed:
             excess = excess.copy()
@@ -370,18 +445,16 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
             excess += row
     excess.setflags(write=False)
     view = _MarketView(utility, families, minimals, reach, below, overlap, excess)
-    if (len(views) + 1) * ((n + 2) << m) > MEMO_ENTRIES:
-        with suppress(KeyError):    # empty, or emptied by another thread
-            views.popitem()
+    _make_room(views, size, size + len(shared) * row_size + fixed)
     views[prices] = view
-    _memo = (owner, views, prices, view)
+    _memo = (owner, views, prices, view, shared, table)
     return view
 
 
 def _held(owner, prices: Prices) -> Optional[_MarketView]:
     """The memo's view of owner at prices, if it holds one, read without
     making it the view returned last."""
-    held, views, _, _ = _memo
+    held, views = _memo[:2]
     return views.get(tuple(prices)) if held is owner else None
 
 
@@ -545,8 +618,9 @@ def held_demand(instance: Instance, prices: Prices
 def demand_families(instance: Instance, prices: Prices) -> tuple[tuple[int, ...], ...]:
     """Each player's demand family at prices, straight from the value tables.
 
-    Reads no view and stores none, so it checks the views independently:
-    the auction loop uses it to confirm the last prices of a replay.
+    Reads no view and stores none (only the memo's stacked value tables),
+    so it checks the views independently: the auction loop uses it to
+    confirm the last prices of a replay.
     """
     util = _utilities(instance.players, prices)
     hit = util == util.max(axis=1, keepdims=True)

@@ -115,7 +115,7 @@ def _suffix_tables(instance: Instance):
         prev = tables[0]
         cur = [0] * (1 << m)
         for mask in range(1 << m):
-            top = prev[mask]
+            top = v.table[0] + prev[mask]
             s = mask
             while s:
                 cand = v.table[s] + prev[mask ^ s]

@@ -296,6 +296,13 @@ def test_memo_keeps_markets_apart():
                     demand.excess_demand(alone, p, s) + popcount(s)
 
 
+def shared_entries(m):
+    """What the memo's overlap rows and stacked tables count against
+    MEMO_ENTRIES."""
+    rows, table = demand._memo[4:]
+    return len(rows) * demand._row_entries(m) + (0 if table is None else table.size)
+
+
 def test_memo_holds_at_most_its_bound(monkeypatch):
     inst = make_instance(["x", "y"], [make_unit_demand((20, 30)),
                                       model.make_additive((15, 25))])
@@ -306,9 +313,13 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     for p in grid:
         first.append(answers(inst, p))
         assert demand._memo[0] is inst
-        assert len(demand._memo[1]) * size <= demand.MEMO_ENTRIES
-    # once full, the memo keeps its first views and the one added last
-    assert list(demand._memo[1]) == grid[:99] + grid[-1:]
+        assert len(demand._memo[1]) * size + shared_entries(inst.m) <= demand.MEMO_ENTRIES
+    # once full, the memo keeps its first views and the one added last,
+    # beside the overlap rows and stacked tables, which views make room for
+    other = shared_entries(inst.m)
+    assert demand._memo[5] is not None and other > inst.n << inst.m
+    kept = (demand.MEMO_ENTRIES - other) // size
+    assert list(demand._memo[1]) == grid[:kept - 1] + grid[-1:]
     assert [answers(inst, p) for p in grid] == first
     assert all(answers(rebuilt(inst), p) == got
                for p, got in zip(grid[::97], first[::97]))
@@ -317,6 +328,69 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     for p in grid[:3]:
         assert answers(inst, p) == first[grid.index(p)]
         assert list(demand._memo[1]) == [p]
+
+
+def test_views_share_the_overlap_row_of_a_minimal_demand_family(monkeypatch):
+    # at zero prices every player's minimal demand family is {x}; the third
+    # values {x, y} one less than {x}, so raising x rescans its row
+    inst = make_instance(["x", "y"], [make_unit_demand((4, 1)),
+                                      make_unit_demand((5, 2)),
+                                      model.make_table(2, [0, 5, 0, 4])])
+    demand._memo = (None, {}, None, None, {}, None)
+    first = demand._market(inst, (0, 0))
+    assert first.minimal == ((1,),) * 3
+    assert first.overlap[0] is first.overlap[1] is first.overlap[2]
+    assert first.overlap[0] is demand._memo[4][(1,)]
+    scanned = []
+    real_row = demand._row
+    monkeypatch.setattr(demand, "_row", lambda v, *a: scanned.append(v) or real_row(v, *a))
+    second = demand._market(inst, (1, 0))
+    assert scanned == [inst.players[2]]
+    # the rescanned row has the same minimal family, so it is the same
+    # object, and the excess is the base's
+    assert second.minimal == first.minimal
+    assert all(row is first.overlap[0] for row in second.overlap)
+    assert second.excess is first.excess
+
+
+def test_memo_drops_rows_and_tables_with_its_market():
+    a = make_instance(["x", "y"], [make_unit_demand((4, 1)), make_unit_demand((1, 4))])
+    b = make_instance(["x", "y"], [make_unit_demand((3, 3)), make_unit_demand((2, 5))])
+    demand._memo = (None, {}, None, None, {}, None)
+    assert demand.lyapunov(a, (0, 0)) == 8
+    assert demand.demand_families(a, (0, 0)) == ((1, 3), (2, 3))
+    rows, table = demand._memo[4:]
+    assert rows and table is not None
+    # the tables are stacked once per market
+    assert demand._stacked(a.players) is table
+    assert demand.lyapunov(b, (0, 0)) == 8
+    assert demand._memo[0] is b
+    assert demand._memo[5] is None
+    assert not any(row is old for row in demand._memo[4].values()
+                   for old in rows.values())
+    # another market's players never read the held tables
+    assert demand._stacked(a.players) is not table
+
+
+def test_full_memo_adds_no_rows_and_answers_the_same(monkeypatch):
+    rng = random.Random(4)
+    inst = market_of(rng, "monotone", 4, 3)
+    grid = [(x, y, x, y) for x in range(6) for y in range(6)]
+    expected = [answers(rebuilt(inst), p) for p in grid]
+    size = (inst.n + 2) << inst.m
+    # room for one view, the stacked tables and three rows
+    cap = size + (inst.n << inst.m) + 3 * demand._row_entries(inst.m)
+    monkeypatch.setattr(demand, "MEMO_ENTRIES", cap)
+    demand._memo = (None, {}, None, None, {}, None)
+    families = set()
+    for p, want in zip(grid, expected):
+        assert answers(inst, p) == want
+        families.update(demand._market(inst, p).minimal)
+        assert len(demand._memo[4]) <= 3
+        assert len(demand._memo[1]) * size + shared_entries(inst.m) <= cap
+    # the first three families met fill the rows, and no later one is added
+    assert demand._memo[5] is not None
+    assert len(demand._memo[4]) == 3 < len(families)
 
 
 def test_full_memo_holds_no_more_bytes_than_its_count(monkeypatch):
@@ -330,17 +404,17 @@ def test_full_memo_holds_no_more_bytes_than_its_count(monkeypatch):
             m, [[rng.randint(0, 32), rng.randint(0, 32)] for _ in range(m)]))
         for i in range(m + 3)]
     inst = make_instance([f"i{j}" for j in range(m)], players)
-    monkeypatch.setattr(demand, "_memo", (None, {}, None, None))
+    monkeypatch.setattr(demand, "_memo", (None, {}, None, None, {}, None))
     tracemalloc.start()
     try:
         auctions.fine_auction(inst)
-        views = len(demand._memo[1])
+        views, other = len(demand._memo[1]), shared_entries(m)
         with_memo = tracemalloc.get_traced_memory()[0]
-        demand._memo = (None, {}, None, None)
+        demand._memo = (None, {}, None, None, {}, None)
         held = with_memo - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert (views + 1) * ((inst.n + 2) << m) > demand.MEMO_ENTRIES
+    assert (views + 1) * ((inst.n + 2) << m) + other > demand.MEMO_ENTRIES
     assert held <= 8 * demand.MEMO_ENTRIES
     # n uint8 overlap rows and one int64 excess per view, some shared,
     # against the (n + 2) int64 rows the count assumes
@@ -355,7 +429,13 @@ def test_memo_is_safe_across_threads():
                              [conftest.random_gs_valuation(rng, 3) for _ in range(3)])
                for _ in range(2)]
     grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
-    expected = [[answers(rebuilt(inst), p) for p in grid] for inst in markets]
+
+    def per_price(inst, p):
+        # stable_raises and demand_families read the stacked value tables
+        return (answers(inst, p), demand.demand_families(inst, p),
+                [demand.stable_raises(inst, p, s) for s in range(1, 8)])
+
+    expected = [[per_price(rebuilt(inst), p) for p in grid] for inst in markets]
     assert expected[0] != expected[1]
     wrong = []
 
@@ -363,7 +443,7 @@ def test_memo_is_safe_across_threads():
         try:
             for _ in range(20):
                 for p, want in zip(grid, expected[i]):
-                    if answers(markets[i], p) != want:
+                    if per_price(markets[i], p) != want:
                         wrong.append((i, p))
         except Exception as exc:     # a foreign view can fail to index
             wrong.append((i, repr(exc)))
@@ -452,7 +532,7 @@ def fields(view):
 
 
 def fresh_view(inst, prices):
-    demand._memo = (None, {}, None, None)
+    demand._memo = (None, {}, None, None, {}, None)
     return demand._market(inst, prices)
 
 
@@ -498,7 +578,7 @@ def check_chain(inst, chain):
     against fresh builds; below must bound every undemanded bundle's
     utility, computed from the value tables, and stay under the best."""
     want = [fields(fresh_view(inst, q)) for q in chain]
-    demand._memo = (None, {}, None, None)
+    demand._memo = (None, {}, None, None, {}, None)
     for q, expect in zip(chain, want):
         view = demand._market(inst, q)
         assert fields(view) == expect
@@ -658,6 +738,34 @@ def test_unit_demand_past_int64_answers_demand_queries():
     # the value table used to convert to int64 at the first demand query
     inst = make_instance(["a", "b", "c"], [make_unit_demand((2 ** 64, 2 ** 62, 2 ** 62))])
     assert demand.lyapunov(inst, (0, 0, 0)) == 18_446_744_073_709_551_616
+
+
+def matmul_bundle_prices(m, prices):
+    """The retired bundle pricing, kept as the reference: the full 2**m x m
+    bit matrix times the prices, int64 while _int_dtype allows m * max |p|."""
+    top = m * max(map(abs, prices))
+    return demand._static(m)[0] @ np.asarray(prices, dtype=model._int_dtype(-top, top))
+
+
+@st.composite
+def sized_prices(draw):
+    m = draw(st.integers(1, 14))
+    near = st.sampled_from((0, 2 ** 61 - 8, -(2 ** 61), 2 ** 63, 2 ** 66))
+    return m, tuple(draw(near) + draw(st.integers(-8, 8)) for _ in range(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sized_prices())
+def test_bundle_prices_match_the_bit_matrix_product(sized):
+    m, prices = sized
+    got = demand._bundle_prices(m, prices)
+    want = matmul_bundle_prices(m, prices)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    if got.dtype == object:
+        # past int64's exact range every price is a Python integer
+        assert all(type(x) is int for x in got.tolist())
+        assert got[-1] == sum(prices)
 
 
 def test_bundle_prices_past_int64_are_exact():

@@ -67,6 +67,46 @@ def test_welfare_matches_assignment_enumeration():
             == res.welfare
 
 
+def optimal_allocations(inst):
+    """The maximum welfare and every allocation reaching it, by trying each
+    owner (or none) for each item; a player's empty bundle is worth its
+    table[0], whatever that is."""
+    welfare, best = None, []
+    for owners in itertools.product(range(inst.n + 1), repeat=inst.m):
+        bundles = [0] * inst.n
+        for j, who in enumerate(owners):
+            if who < inst.n:
+                bundles[who] |= 1 << j
+        total = sum(v.table[b] for v, b in zip(inst.players, bundles))
+        if welfare is None or total > welfare:
+            welfare, best = total, []
+        if total == welfare:
+            best.append(tuple(bundles))
+    return welfare, best
+
+
+@pytest.mark.parametrize("empty, welfare", [(-1, -1), (1, 1)])
+def test_welfare_counts_the_empty_bundles_value(empty, welfare):
+    # the DP used to take the empty bundle as worth 0, so a table worth -1
+    # everywhere had no bundle that kept its optimum
+    inst = make_instance(["a"], [model.make_table(1, [empty, empty])])
+    assert oracle.max_welfare(inst) == oracle.WelfareResult(welfare=welfare, allocation=(0,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds)
+def test_welfare_matches_every_allocation_with_any_empty_bundle_value(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    players = [model.make_table(m, [rng.randint(-4, 8) for _ in range(1 << m)])
+               for _ in range(n)]
+    inst = make_instance([f"i{j}" for j in range(m)], players)
+    welfare, best = optimal_allocations(inst)
+    got = oracle.max_welfare(inst)
+    # each player in turn takes the smallest bundle that keeps the optimum
+    assert got == oracle.WelfareResult(welfare=welfare, allocation=min(best))
+
+
 def sorted_list_allocation(inst):
     """The retired reconstruction, kept as the reference: each player in
     turn lists every submask of the items left, sorts them, and takes the
