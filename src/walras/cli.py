@@ -175,18 +175,13 @@ def _check_lemmas(instance: Instance) -> list[dict]:
                              f"checks, budget {budget}")
     for p in battery:
         for i, v in enumerate(instance.players):
-            base_u = demand.demand_sets(v, p).utility
-            raised = demand.utilities_after_raise((v,), p)[0]
-            for s in range(1, 1 << m):
-                drop = demand.min_demand_overlap(v, p, s)
-                lhs = int(raised[s])
-                if lhs != base_u - drop:
-                    findings.append({
-                        "player": i, "price": prices_to_json(p, instance),
-                        "kind": "utility-drop identity",
-                        "bundle": instance.label_bundle(s),
-                        "expected": base_u - drop, "observed": lhs,
-                    })
+            for s, expected, observed in structure.utility_drop_misses(v, p):
+                findings.append({
+                    "player": i, "price": prices_to_json(p, instance),
+                    "kind": "utility-drop identity",
+                    "bundle": instance.label_bundle(s),
+                    "expected": expected, "observed": observed,
+                })
             for j in range(m):
                 try:
                     structure.classify_transition(v, p, j)
@@ -196,14 +191,12 @@ def _check_lemmas(instance: Instance) -> list[dict]:
                         "kind": "unclassifiable transition",
                         "item": instance.items[j], "detail": str(exc),
                     })
-            for s in range(1 << m):
-                rep = structure.check_utility_distance(v, p, s)
-                if not rep.ok:
-                    findings.append({
-                        "player": i, "price": prices_to_json(p, instance),
-                        "kind": "utility distance witness missing",
-                        "bundle": instance.label_bundle(s),
-                    })
+            for s in structure.utility_distance_misses(v, p):
+                findings.append({
+                    "player": i, "price": prices_to_json(p, instance),
+                    "kind": "utility distance witness missing",
+                    "bundle": instance.label_bundle(s),
+                })
         for (x, y), rep in structure.decreasing_marginal_reports(instance, p).items():
             if not rep.ok:
                 findings.append({

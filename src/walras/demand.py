@@ -39,10 +39,11 @@ that one numpy peel per minimal member (take the first bundle left, drop
 its supersets), so the families of 2**(m-1) bundles and more that
 unit-demand and OXS players demand near zero prices, with at most a
 handful of minimal members, cost no Python per member.
-The per-price views behind these reports are memoized for one market at a
-time: the instance (or, for demand_sets and min_demand_overlap, the
-valuation) queried last, compared by identity, so the engines run on one
-market share its views without hashing its tables. With the views the memo
+The per-price views behind the market reports are memoized for one market
+at a time: the instance queried last, compared by identity, so the engines
+run on one market share its views without hashing its tables. Only an
+instance owns the memo: demand_sets and min_demand_overlap read one
+valuation's value table and hold nothing. With the views the memo
 holds what every view of the market reuses: one read-only uint8 overlap
 row per minimal demand family met, which every player and view with that
 family shares, and the players' value tables stacked into one n x 2**m
@@ -88,7 +89,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -269,12 +270,19 @@ class _MarketView:
 # those whose demand meets a raised item (see the module docstring).
 MEMO_ENTRIES = 1 << 21
 
-# (owner, views by price, prices of the view returned last, that view,
-# overlap rows by minimal demand family, stacked value tables or None) for
-# the market queried last. Swapped as one tuple, so a reader never pairs
-# one market's owner with another's views, rows or tables.
-_memo: tuple[object, dict, Optional[Prices], Optional[_MarketView], dict,
-             Optional[np.ndarray]] = (None, {}, None, None, {}, None)
+class _Memo(NamedTuple):
+    """What the memo holds for the market queried last. Swapped as one
+    tuple, so a reader never pairs one market's owner with another's views,
+    rows or tables; the dicts are made when an instance takes the memo."""
+    owner: Optional[Instance] = None        # compared by identity
+    views: Optional[dict] = None            # views by price
+    prices: Optional[Prices] = None         # prices of the view returned last
+    view: Optional[_MarketView] = None      # that view
+    rows: Optional[dict] = None             # overlap rows by minimal demand family
+    table: Optional[np.ndarray] = None      # the stacked value tables
+
+
+_memo = _Memo()
 
 # below when every bundle is demanded
 _NO_BUNDLE = int(np.iinfo(np.int64).min)
@@ -298,18 +306,19 @@ def _stacked(players: Sequence[Valuation]) -> np.ndarray:
     built once per market: held with the memo when they are the players of
     the instance it holds and the memo has room (see MEMO_ENTRIES)."""
     global _memo
-    owner, views, prices, view, rows, table = _memo
-    ours = getattr(owner, "players", None) is players
-    if ours and table is not None:
-        return table
+    memo = _memo
+    ours = memo.owner is not None and memo.owner.players is players
+    if ours and memo.table is not None:
+        return memo.table
     table = np.stack([v.np_table for v in players])
     table.setflags(write=False)
-    n, m = table.shape[0], players[0].m
-    size = (n + 2) << m
-    held = len(rows) * _row_entries(m) + table.size
-    if ours and held + size <= MEMO_ENTRIES:
-        _make_room(views, size, held)
-        _memo = (owner, views, prices, view, rows, table)
+    if ours:
+        n, m = table.shape[0], players[0].m
+        size = (n + 2) << m
+        held = len(memo.rows) * _row_entries(m) + table.size
+        if held + size <= MEMO_ENTRIES:
+            _make_room(memo.views, size, held)
+            _memo = memo._replace(table=table)
     return table
 
 
@@ -328,15 +337,22 @@ def _overlap_row(minimal: tuple[int, ...], m: int) -> np.ndarray:
     return row
 
 
+def _scan(v: Valuation, pcost: np.ndarray):
+    """v's utilities at the prices whose bundle costs are pcost, its best
+    utility, its demand family as an int64 array in mask order and its
+    minimal demand family."""
+    util = v.np_table - pcost
+    top = int(util.max())
+    hit = (util == top).nonzero()[0]
+    return util, top, hit, _minimal_members(hit)
+
+
 def _row(v: Valuation, pcost: np.ndarray, overlap_of):
     """One player's view row at the prices whose bundle costs are pcost:
     best utility, demand family, minimal demand family, the union of its
     demanded bundles, the best utility of an undemanded bundle and the
     overlap row, which overlap_of gives for the minimal demand family."""
-    util = v.np_table - pcost
-    top = int(util.max())
-    hit = (util == top).nonzero()[0]
-    minimal = _minimal_members(hit)
+    util, top, hit, minimal = _scan(v, pcost)
     util[hit] = _NO_BUNDLE
     below = int(util.max())
     return (top, tuple(hit.tolist()), minimal, int(np.bitwise_or.reduce(hit)),
@@ -379,19 +395,24 @@ def _shift(row, rise: tuple[tuple[int, int], ...], overlap_of):
     return top - low, tuple(kept), kept_minimal, reach, below, overlap
 
 
-def _view(owner, players: tuple[Valuation, ...], m: int,
-          prices: Prices) -> _MarketView:
+def _market(instance: Instance, prices: Prices) -> _MarketView:
+    """The view of instance at prices: the memo's, or one built from the
+    view it returned last or from the value tables (see the module
+    docstring)."""
     global _memo
     prices = tuple(prices)
-    held, views, base_prices, base, shared, table = _memo
-    if held is owner:
-        view = views.get(prices)
+    memo = _memo
+    if memo.owner is instance:
+        view = memo.views.get(prices)
         if view is not None:
-            _memo = (owner, views, prices, view, shared, table)
+            if view is not memo.view:
+                _memo = _Memo(instance, memo.views, prices, view, memo.rows, memo.table)
             return view
     else:
-        views, base, shared, table = {}, None, {}, None
-        _memo = (owner, views, None, None, shared, None)
+        memo = _memo = _Memo(instance, {}, None, None, {}, None)
+    views, shared, table = memo.views, memo.rows, memo.table
+    base, base_prices = memo.view, memo.prices
+    players, m = instance.players, instance.m
     check_price_count(prices, m)
     n = len(players)
     size, row_size = (n + 2) << m, _row_entries(m)
@@ -447,19 +468,15 @@ def _view(owner, players: tuple[Valuation, ...], m: int,
     view = _MarketView(utility, families, minimals, reach, below, overlap, excess)
     _make_room(views, size, size + len(shared) * row_size + fixed)
     views[prices] = view
-    _memo = (owner, views, prices, view, shared, table)
+    _memo = _Memo(instance, views, prices, view, shared, table)
     return view
 
 
-def _held(owner, prices: Prices) -> Optional[_MarketView]:
-    """The memo's view of owner at prices, if it holds one, read without
+def _held(instance: Instance, prices: Prices) -> Optional[_MarketView]:
+    """The memo's view of instance at prices, if it holds one, read without
     making it the view returned last."""
-    held, views = _memo[:2]
-    return views.get(tuple(prices)) if held is owner else None
-
-
-def _market(instance: Instance, prices: Prices) -> _MarketView:
-    return _view(instance, instance.players, instance.m, prices)
+    memo = _memo
+    return memo.views.get(tuple(prices)) if memo.owner is instance else None
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +521,10 @@ def utility(v: Valuation, prices: Prices, bundle: int) -> int:
 
 def demand_sets(v: Valuation, prices: Prices) -> DemandReport:
     """Full and minimal demand families of one valuation, by enumeration,
-    reported as player 0."""
-    view = _view(v, (v,), v.m, prices)
-    return DemandReport(0, view.utility[0], view.demand[0], view.minimal[0])
+    reported as player 0. Reads v's value table and holds nothing."""
+    check_price_count(prices, v.m)
+    _, top, hit, minimal = _scan(v, _bundle_prices(v.m, prices))
+    return DemandReport(0, top, tuple(hit.tolist()), minimal)
 
 
 def demand_reports(instance: Instance, prices: Prices) -> tuple[DemandReport, ...]:
@@ -518,7 +536,7 @@ def demand_reports(instance: Instance, prices: Prices) -> tuple[DemandReport, ..
 def min_demand_overlap(v: Valuation, prices: Prices, bundle: int) -> int:
     """Smallest |D & bundle| over the minimal demand family D*(p)."""
     check_index("bundle", bundle, 1 << v.m, v.m)
-    return int(_view(v, (v,), v.m, prices).overlap[0][bundle])
+    return min(popcount(d & bundle) for d in demand_sets(v, prices).minimal_demand)
 
 
 def excess_demand(instance: Instance, prices: Prices, bundle: int) -> int:

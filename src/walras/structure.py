@@ -26,8 +26,9 @@ import numpy as np
 
 from . import demand
 from .model import (
-    DEFAULT_GRID_BUDGET, BudgetExceeded, Instance, InvariantViolation, Prices,
-    Valuation, add_indicator, check_index, dominated, env_budget, iter_items, popcount,
+    DEFAULT_GRID_BUDGET, DEFAULT_OP_BUDGET, BudgetExceeded, Instance,
+    InvariantViolation, Prices, Valuation, add_indicator, check_index, dominated,
+    env_budget, iter_items, popcount,
 )
 
 
@@ -146,7 +147,10 @@ def check_matroid_bases(family: Sequence[int]) -> Optional[MatroidViolation]:
     """Check a family of bundles for the matroid base axioms.
 
     Equal cardinality, plus exchange: for bases B1, B2 and j2 in B2 minus
-    B1 there is j1 in B1 minus B2 with B2 - j2 + j1 in the family.
+    B1 there is j1 in B1 minus B2 with B2 - j2 + j1 in the family. The
+    exchange scan of k bases of r items counts k**2 * r**2 steps against
+    the default op budget, which WALRAS_BUDGET overrides, before it starts,
+    and raises BudgetExceeded past it.
     """
     bases = sorted(set(family))
     if not bases:
@@ -155,6 +159,12 @@ def check_matroid_bases(family: Sequence[int]) -> Optional[MatroidViolation]:
     for b in bases[1:]:
         if popcount(b) != size:
             return MatroidViolation("cardinality")
+    # each ordered pair of bases, each item of one and each of the other
+    steps = len(bases) ** 2 * size ** 2
+    budget = env_budget(DEFAULT_OP_BUDGET)
+    if steps > budget:
+        raise BudgetExceeded(f"matroid exchange scan of {len(bases)} bases needs "
+                             f"{steps} steps, budget {budget}")
     members = set(bases)
     for b1 in bases:
         for b2 in bases:
@@ -250,6 +260,31 @@ def check_utility_distance(v: Valuation, prices: Prices, bundle: int) -> Utility
     if best is not None and popcount(best[1]) <= gap:
         return UtilityDistanceReport(gap=gap, demanded=best[0], ok=True)
     return UtilityDistanceReport(gap=gap, demanded=None, ok=False)
+
+
+def utility_drop_misses(v: Valuation, prices: Prices) -> list[tuple[int, int, int]]:
+    """(bundle, expected, observed) for every nonempty bundle S whose unit
+    raise p + 1_S does not lower v's best utility by min |D & S| over D in
+    D*(p), the utility-drop identity, in mask order: the best utilities
+    after every raise against top minus the overlap row, as one array."""
+    report = demand.demand_sets(v, prices)
+    observed = demand.utilities_after_raise((v,), prices)[0]
+    overlap = demand._overlap_row(report.minimal_demand, v.m)
+    # in the utilities' dtype: top minus a uint8 row would wrap
+    expected = report.utility - overlap.astype(observed.dtype)
+    return [(s, int(expected[s]), int(observed[s]))
+            for s in (observed != expected).nonzero()[0].tolist() if s]
+
+
+def utility_distance_misses(v: Valuation, prices: Prices) -> list[int]:
+    """Every bundle, in mask order, for which check_utility_distance finds
+    no witness, compared for all bundles as one array: the fewest extra
+    items over D*(p), min |D & ~S|, is the overlap row at the complement
+    of S, and a miss is one that exceeds the utility gap."""
+    report = demand.demand_sets(v, prices)
+    extra = demand._overlap_row(report.minimal_demand, v.m)[::-1]
+    gap = report.utility - demand._utilities((v,), prices)[0]
+    return (extra > gap).nonzero()[0].tolist()
 
 
 @dataclass(frozen=True)

@@ -301,17 +301,17 @@ def test_long_steps_build_few_views(monkeypatch):
     # only where some player's demand changes
     inst = deep_style_market()
     built = set()
-    view = demand._view
+    view = demand._market
 
-    def counting(owner, players, m, prices):
-        built.add((id(owner), tuple(prices)))
-        return view(owner, players, m, prices)
+    def counting(instance, prices):
+        built.add((id(instance), tuple(prices)))
+        return view(instance, prices)
 
-    monkeypatch.setattr(demand, "_view", counting)
+    monkeypatch.setattr(demand, "_market", counting)
     trace = auctions.gul_stacchetti(inst)
     assert trace.terminated and len(trace.steps) > 800
     assert len(built) < 60
-    monkeypatch.setattr(demand, "_view", view)
+    monkeypatch.setattr(demand, "_market", view)
     assert trace == unit_step_gs(inst)
 
 
@@ -437,17 +437,17 @@ def test_fine_replays_build_few_views(monkeypatch):
     # all of them copies of a round that repeats
     inst = deep_style_market()
     built = set()
-    view = demand._view
+    view = demand._market
 
-    def counting(owner, players, m, prices):
-        built.add((id(owner), tuple(prices)))
-        return view(owner, players, m, prices)
+    def counting(instance, prices):
+        built.add((id(instance), tuple(prices)))
+        return view(instance, prices)
 
-    monkeypatch.setattr(demand, "_view", counting)
+    monkeypatch.setattr(demand, "_market", counting)
     trace = auctions.fine_auction(inst)
     assert trace.terminated and len(trace.steps) > 5000
     assert len(built) < len(trace.steps) / 10
-    monkeypatch.setattr(demand, "_view", view)
+    monkeypatch.setattr(demand, "_market", view)
     assert trace == unit_step_fine(inst)
 
 
@@ -458,13 +458,13 @@ def test_fine_rebuilds_only_the_rows_its_raise_meets(monkeypatch):
     inst = deep_style_market()
     built, calls = set(), {"_shift": 0, "_row": 0}
     stale = rescans = 0
-    view = demand._view
+    view = demand._market
 
-    def counting_views(owner, players, m, prices):
+    def counting_views(instance, prices):
         nonlocal stale, rescans
-        built.add((id(owner), tuple(prices)))
+        built.add((id(instance), tuple(prices)))
         before = dict(calls)
-        got = view(owner, players, m, prices)
+        got = view(instance, prices)
         # a view built from the one before tries a shift on each stale row
         if calls["_shift"] > before["_shift"]:
             stale += calls["_shift"] - before["_shift"]
@@ -479,7 +479,7 @@ def test_fine_rebuilds_only_the_rows_its_raise_meets(monkeypatch):
             return real(*args)
         return count
 
-    monkeypatch.setattr(demand, "_view", counting_views)
+    monkeypatch.setattr(demand, "_market", counting_views)
     for name in calls:
         monkeypatch.setattr(demand, name, counting(name))
     trace = auctions.fine_auction(inst)

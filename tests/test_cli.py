@@ -5,17 +5,20 @@ import dataclasses
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import walras
-from walras import auctions, cli, model
-from walras.model import make_instance, make_truncation, make_unit_demand
+from walras import auctions, cli, demand, model, structure
+from walras.model import make_instance, make_truncation, make_unit_demand, popcount
+
+import conftest
 
 
 @pytest.fixture
@@ -369,6 +372,119 @@ def test_check_lemmas_counts_its_checks_against_the_budget(capsys, two_path,
     monkeypatch.setenv("WALRAS_BUDGET", str(checks))
     code, payload = run_cli(capsys, "check", "lemmas", "--instance", two_path)
     assert code == 0 and payload["ok"]
+
+
+def test_check_matroid_counts_its_exchange_steps_against_the_budget(
+        capsys, tmp_path, monkeypatch):
+    # one player valuing a bundle at min(|S|, 2) over four items: at zero
+    # prices its minimal demand family is the six pairs, and the exchange
+    # scan takes 6**2 * 2**2 steps
+    rank = model.make_table(4, [min(popcount(s), 2) for s in range(16)])
+    path = write_instance(tmp_path, make_instance(list("abcd"), [rank]), "rank.json")
+    monkeypatch.setenv("WALRAS_BUDGET", "143")
+    assert cli.main(["check", "matroid", "--instance", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: matroid exchange scan of 6 bases needs 144 "
+                            "steps, budget 143\n")
+    monkeypatch.setenv("WALRAS_BUDGET", "144")
+    code, payload = run_cli(capsys, "check", "matroid", "--instance", path)
+    assert code == 0 and payload["ok"]
+
+
+def test_check_lemmas_scans_each_valuation_a_few_times_per_price(
+        capsys, tmp_path, monkeypatch):
+    # one scan each for the utility-drop identity and the utility distance,
+    # two per item for the transitions: none per bundle
+    rng = random.Random(6)
+    inst = make_instance(list("abcdef"),
+                         [conftest.random_gs_valuation(rng, 6) for _ in range(3)])
+    path = write_instance(tmp_path, inst, "six.json")
+    scans = 0
+    real = demand.demand_sets
+
+    def counting(v, prices):
+        nonlocal scans
+        scans += 1
+        return real(v, prices)
+
+    monkeypatch.setattr(demand, "demand_sets", counting)
+    code, payload = run_cli(capsys, "check", "lemmas", "--instance", path)
+    assert code == 0 and payload["ok"]
+    assert 0 < scans <= len(cli._price_battery(inst)) * inst.n * (2 * inst.m + 2)
+
+
+def lemma_findings_by_bundle(instance):
+    """walras check lemmas as it was before its array comparisons, one
+    bundle at a time, kept as the reference for the findings and their
+    order."""
+    findings = []
+    m = instance.m
+    for p in cli._price_battery(instance):
+        for i, v in enumerate(instance.players):
+            base_u = demand.demand_sets(v, p).utility
+            raised = demand.utilities_after_raise((v,), p)[0]
+            for s in range(1, 1 << m):
+                drop = demand.min_demand_overlap(v, p, s)
+                lhs = int(raised[s])
+                if lhs != base_u - drop:
+                    findings.append({
+                        "player": i, "price": model.prices_to_json(p, instance),
+                        "kind": "utility-drop identity",
+                        "bundle": instance.label_bundle(s),
+                        "expected": base_u - drop, "observed": lhs,
+                    })
+            for j in range(m):
+                try:
+                    structure.classify_transition(v, p, j)
+                except structure.UnclassifiableTransition as exc:
+                    findings.append({
+                        "player": i, "price": model.prices_to_json(p, instance),
+                        "kind": "unclassifiable transition",
+                        "item": instance.items[j], "detail": str(exc),
+                    })
+            for s in range(1 << m):
+                rep = structure.check_utility_distance(v, p, s)
+                if not rep.ok:
+                    findings.append({
+                        "player": i, "price": model.prices_to_json(p, instance),
+                        "kind": "utility distance witness missing",
+                        "bundle": instance.label_bundle(s),
+                    })
+        for (x, y), rep in structure.decreasing_marginal_reports(instance, p).items():
+            if not rep.ok:
+                findings.append({
+                    "price": model.prices_to_json(p, instance),
+                    "kind": "lyapunov submodularity",
+                    "items": [instance.items[x], instance.items[y]],
+                    "lhs": rep.lhs, "rhs": rep.rhs,
+                })
+    return findings
+
+
+LEMMA_MARKETS = {
+    "gs": lambda rng: conftest.random_gs_instance(rng, max_m=5, max_n=3),
+    "paircap": lambda rng: conftest.random_ggs2_instance(rng, max_m=5, max_n=3),
+    "monotone": conftest.random_monotone_instance,
+}
+
+
+def test_lemma_reference_market_breaks_every_lemma():
+    # the monotone market the hypothesis test below always runs
+    findings = lemma_findings_by_bundle(LEMMA_MARKETS["monotone"](random.Random(5)))
+    assert {f["kind"] for f in findings} == {
+        "utility-drop identity", "unclassifiable transition",
+        "utility distance witness missing", "lyapunov submodularity"}
+    assert any(f["kind"] == "utility distance witness missing" and f["bundle"] == []
+               for f in findings)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(sorted(LEMMA_MARKETS)))
+@example(5, "monotone")
+def test_check_lemmas_matches_the_per_bundle_reference(seed, kind):
+    inst = LEMMA_MARKETS[kind](random.Random(seed))
+    assert cli._check_lemmas(inst) == lemma_findings_by_bundle(inst)
 
 
 def deep_truncation(levels):

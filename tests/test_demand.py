@@ -296,10 +296,24 @@ def test_memo_keeps_markets_apart():
                     demand.excess_demand(alone, p, s) + popcount(s)
 
 
+def test_single_valuation_queries_leave_the_instance_memo_alone():
+    inst = make_instance(["x", "y", "z"], [make_unit_demand((4, 1, 3)),
+                                           model.make_additive((2, 2, 1))])
+    p = (1, 0, 2)
+    demand.lyapunov(inst, p)
+    memo = demand._memo
+    for v in inst.players:
+        demand.demand_sets(v, p)
+        for s in range(1 << inst.m):
+            demand.min_demand_overlap(v, p, s)
+    assert demand._memo is memo
+    assert memo.owner is inst and list(memo.views) == [p]
+
+
 def shared_entries(m):
     """What the memo's overlap rows and stacked tables count against
     MEMO_ENTRIES."""
-    rows, table = demand._memo[4:]
+    rows, table = demand._memo.rows, demand._memo.table
     return len(rows) * demand._row_entries(m) + (0 if table is None else table.size)
 
 
@@ -312,14 +326,14 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     first = []
     for p in grid:
         first.append(answers(inst, p))
-        assert demand._memo[0] is inst
-        assert len(demand._memo[1]) * size + shared_entries(inst.m) <= demand.MEMO_ENTRIES
+        assert demand._memo.owner is inst
+        assert len(demand._memo.views) * size + shared_entries(inst.m) <= demand.MEMO_ENTRIES
     # once full, the memo keeps its first views and the one added last,
     # beside the overlap rows and stacked tables, which views make room for
     other = shared_entries(inst.m)
-    assert demand._memo[5] is not None and other > inst.n << inst.m
+    assert demand._memo.table is not None and other > inst.n << inst.m
     kept = (demand.MEMO_ENTRIES - other) // size
-    assert list(demand._memo[1]) == grid[:kept - 1] + grid[-1:]
+    assert list(demand._memo.views) == grid[:kept - 1] + grid[-1:]
     assert [answers(inst, p) for p in grid] == first
     assert all(answers(rebuilt(inst), p) == got
                for p, got in zip(grid[::97], first[::97]))
@@ -327,7 +341,7 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     monkeypatch.setattr(demand, "MEMO_ENTRIES", 1)
     for p in grid[:3]:
         assert answers(inst, p) == first[grid.index(p)]
-        assert list(demand._memo[1]) == [p]
+        assert list(demand._memo.views) == [p]
 
 
 def test_views_share_the_overlap_row_of_a_minimal_demand_family(monkeypatch):
@@ -336,11 +350,11 @@ def test_views_share_the_overlap_row_of_a_minimal_demand_family(monkeypatch):
     inst = make_instance(["x", "y"], [make_unit_demand((4, 1)),
                                       make_unit_demand((5, 2)),
                                       model.make_table(2, [0, 5, 0, 4])])
-    demand._memo = (None, {}, None, None, {}, None)
+    demand._memo = demand._Memo()
     first = demand._market(inst, (0, 0))
     assert first.minimal == ((1,),) * 3
     assert first.overlap[0] is first.overlap[1] is first.overlap[2]
-    assert first.overlap[0] is demand._memo[4][(1,)]
+    assert first.overlap[0] is demand._memo.rows[(1,)]
     scanned = []
     real_row = demand._row
     monkeypatch.setattr(demand, "_row", lambda v, *a: scanned.append(v) or real_row(v, *a))
@@ -356,17 +370,17 @@ def test_views_share_the_overlap_row_of_a_minimal_demand_family(monkeypatch):
 def test_memo_drops_rows_and_tables_with_its_market():
     a = make_instance(["x", "y"], [make_unit_demand((4, 1)), make_unit_demand((1, 4))])
     b = make_instance(["x", "y"], [make_unit_demand((3, 3)), make_unit_demand((2, 5))])
-    demand._memo = (None, {}, None, None, {}, None)
+    demand._memo = demand._Memo()
     assert demand.lyapunov(a, (0, 0)) == 8
     assert demand.demand_families(a, (0, 0)) == ((1, 3), (2, 3))
-    rows, table = demand._memo[4:]
+    rows, table = demand._memo.rows, demand._memo.table
     assert rows and table is not None
     # the tables are stacked once per market
     assert demand._stacked(a.players) is table
     assert demand.lyapunov(b, (0, 0)) == 8
-    assert demand._memo[0] is b
-    assert demand._memo[5] is None
-    assert not any(row is old for row in demand._memo[4].values()
+    assert demand._memo.owner is b
+    assert demand._memo.table is None
+    assert not any(row is old for row in demand._memo.rows.values()
                    for old in rows.values())
     # another market's players never read the held tables
     assert demand._stacked(a.players) is not table
@@ -381,16 +395,16 @@ def test_full_memo_adds_no_rows_and_answers_the_same(monkeypatch):
     # room for one view, the stacked tables and three rows
     cap = size + (inst.n << inst.m) + 3 * demand._row_entries(inst.m)
     monkeypatch.setattr(demand, "MEMO_ENTRIES", cap)
-    demand._memo = (None, {}, None, None, {}, None)
+    demand._memo = demand._Memo()
     families = set()
     for p, want in zip(grid, expected):
         assert answers(inst, p) == want
         families.update(demand._market(inst, p).minimal)
-        assert len(demand._memo[4]) <= 3
-        assert len(demand._memo[1]) * size + shared_entries(inst.m) <= cap
+        assert len(demand._memo.rows) <= 3
+        assert len(demand._memo.views) * size + shared_entries(inst.m) <= cap
     # the first three families met fill the rows, and no later one is added
-    assert demand._memo[5] is not None
-    assert len(demand._memo[4]) == 3 < len(families)
+    assert demand._memo.table is not None
+    assert len(demand._memo.rows) == 3 < len(families)
 
 
 def test_full_memo_holds_no_more_bytes_than_its_count(monkeypatch):
@@ -404,13 +418,13 @@ def test_full_memo_holds_no_more_bytes_than_its_count(monkeypatch):
             m, [[rng.randint(0, 32), rng.randint(0, 32)] for _ in range(m)]))
         for i in range(m + 3)]
     inst = make_instance([f"i{j}" for j in range(m)], players)
-    monkeypatch.setattr(demand, "_memo", (None, {}, None, None, {}, None))
+    monkeypatch.setattr(demand, "_memo", demand._Memo())
     tracemalloc.start()
     try:
         auctions.fine_auction(inst)
-        views, other = len(demand._memo[1]), shared_entries(m)
+        views, other = len(demand._memo.views), shared_entries(m)
         with_memo = tracemalloc.get_traced_memory()[0]
-        demand._memo = (None, {}, None, None, {}, None)
+        demand._memo = demand._Memo()
         held = with_memo - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -532,7 +546,7 @@ def fields(view):
 
 
 def fresh_view(inst, prices):
-    demand._memo = (None, {}, None, None, {}, None)
+    demand._memo = demand._Memo()
     return demand._market(inst, prices)
 
 
@@ -570,7 +584,7 @@ def test_view_built_from_a_lower_one_matches_a_fresh_build(seed, kind, move):
     got = demand._market(inst, q)
     assert fields(got) == want
     assert (got is base) == (move == "none")
-    assert demand._memo[0] is inst and demand._memo[3] is got
+    assert demand._memo.owner is inst and demand._memo.view is got
 
 
 def check_chain(inst, chain):
@@ -578,7 +592,7 @@ def check_chain(inst, chain):
     against fresh builds; below must bound every undemanded bundle's
     utility, computed from the value tables, and stay under the best."""
     want = [fields(fresh_view(inst, q)) for q in chain]
-    demand._memo = (None, {}, None, None, {}, None)
+    demand._memo = demand._Memo()
     for q, expect in zip(chain, want):
         view = demand._market(inst, q)
         assert fields(view) == expect
