@@ -117,12 +117,7 @@ def _price_battery(instance: Instance) -> list[Prices]:
     for j in range(instance.m):
         battery.append(add_indicator(instance.zero_prices(), 1 << j))
         battery.append(add_indicator(trace.final_price, 1 << j))
-    seen, uniq = set(), []
-    for p in battery:
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    return uniq
+    return list(dict.fromkeys(battery))
 
 
 def _check_gs(instance: Instance) -> list[dict]:
@@ -182,15 +177,12 @@ def _check_lemmas(instance: Instance) -> list[dict]:
                     "bundle": instance.label_bundle(s),
                     "expected": expected, "observed": observed,
                 })
-            for j in range(m):
-                try:
-                    structure.classify_transition(v, p, j)
-                except structure.UnclassifiableTransition as exc:
-                    findings.append({
-                        "player": i, "price": prices_to_json(p, instance),
-                        "kind": "unclassifiable transition",
-                        "item": instance.items[j], "detail": str(exc),
-                    })
+            for j, detail in structure.transition_misses(v, p):
+                findings.append({
+                    "player": i, "price": prices_to_json(p, instance),
+                    "kind": "unclassifiable transition",
+                    "item": instance.items[j], "detail": detail,
+                })
             for s in structure.utility_distance_misses(v, p):
                 findings.append({
                     "player": i, "price": prices_to_json(p, instance),

@@ -43,17 +43,17 @@ The per-price views behind the market reports are memoized for one market
 at a time: the instance queried last, compared by identity, so the engines
 run on one market share its views without hashing its tables. Only an
 instance owns the memo: demand_sets and min_demand_overlap read one
-valuation's value table and hold nothing. With the views the memo
-holds what every view of the market reuses: one read-only uint8 overlap
-row per minimal demand family met, which every player and view with that
-family shares, and the players' value tables stacked into one n x 2**m
-array the first time a table pass (stable_raises, demand_families,
-utilities_after_raise) asks for it. A query on another market starts the
-memo afresh. Everything held counts against MEMO_ENTRIES int64 entries: a
-view (n + 2) * 2**m (more than it holds), a row its 2**m bytes, the
-stacked tables n * 2**m. Rows and tables go in while one view still fits
-beside them, and views make room for them; once the count is full, each
-new view replaces the last one added and no row is added.
+valuation's value table and hold nothing, and the table passes
+(stable_raises, demand_families, utilities_after_raise) write each
+player's utilities from its value table into a fresh array and hold
+nothing either. With the views the memo holds what every view of the
+market reuses: one read-only uint8 overlap row per minimal demand family
+met, which every player and view with that family shares. A query on
+another market starts the memo afresh. Both kinds count against
+MEMO_ENTRIES int64 entries: a view (n + 2) * 2**m (more than it holds), a
+row its 2**m bytes. Rows go in while one view still fits beside them, and
+views make room for them; once the count is full, each new view replaces
+the last one added and no row is added.
 
 Ascending auctions only raise prices, and a new view is built from the one
 the memo returned last whenever no price fell since. Going from b to q >= b
@@ -146,8 +146,15 @@ def _bundle_prices(m: int, prices: Prices) -> np.ndarray:
 
 
 def _utilities(players: Sequence[Valuation], prices: Prices) -> np.ndarray:
-    """players x 2**m: each value table minus the price of every bundle."""
-    return _stacked(players) - _bundle_prices(players[0].m, prices)
+    """players x 2**m: each value table minus the price of every bundle,
+    written one row per player, in Python integers where a table or the
+    prices are."""
+    pcost = _bundle_prices(players[0].m, prices)
+    dtype = np.result_type(pcost, *{v.np_table.dtype for v in players})
+    util = np.empty((len(players), len(pcost)), dtype=dtype)
+    for row, v in zip(util, players):
+        np.subtract(v.np_table, pcost, out=row)
+    return util
 
 
 def _grid_sum(offsets) -> np.ndarray:
@@ -256,9 +263,8 @@ class _MarketView:
 # n players counts as (n + 2) * 2**m entries: n overlap rows, the excess
 # and its demand families as one array, an upper bound since its rows are
 # uint8 and shared. A shared overlap row counts as its 2**m bytes (2**m / 8
-# entries, at least one), the stacked value tables as their n * 2**m.
-# Every view reads the rows and tables, so views make room for them while
-# one view still fits beside them; past that no row is added.
+# entries, at least one). Every view reads the rows, so views make room
+# for them while one view still fits beside them; past that no row is added.
 # An engine visits each price once, so the views worth keeping are the
 # first ones, which a later engine on the same market walks again from the
 # same start: once the memo is full, each new view replaces the last one
@@ -272,14 +278,13 @@ MEMO_ENTRIES = 1 << 21
 
 class _Memo(NamedTuple):
     """What the memo holds for the market queried last. Swapped as one
-    tuple, so a reader never pairs one market's owner with another's views,
-    rows or tables; the dicts are made when an instance takes the memo."""
+    tuple, so a reader never pairs one market's owner with another's views
+    or rows; the dicts are made when an instance takes the memo."""
     owner: Optional[Instance] = None        # compared by identity
     views: Optional[dict] = None            # views by price
     prices: Optional[Prices] = None         # prices of the view returned last
     view: Optional[_MarketView] = None      # that view
     rows: Optional[dict] = None             # overlap rows by minimal demand family
-    table: Optional[np.ndarray] = None      # the stacked value tables
 
 
 _memo = _Memo()
@@ -299,27 +304,6 @@ def _make_room(views: dict, size: int, other: int) -> None:
     while views and len(views) * size + other > MEMO_ENTRIES:
         with suppress(KeyError):    # emptied by another thread
             views.popitem()
-
-
-def _stacked(players: Sequence[Valuation]) -> np.ndarray:
-    """The players' value tables as one read-only players x 2**m array,
-    built once per market: held with the memo when they are the players of
-    the instance it holds and the memo has room (see MEMO_ENTRIES)."""
-    global _memo
-    memo = _memo
-    ours = memo.owner is not None and memo.owner.players is players
-    if ours and memo.table is not None:
-        return memo.table
-    table = np.stack([v.np_table for v in players])
-    table.setflags(write=False)
-    if ours:
-        n, m = table.shape[0], players[0].m
-        size = (n + 2) << m
-        held = len(memo.rows) * _row_entries(m) + table.size
-        if held + size <= MEMO_ENTRIES:
-            _make_room(memo.views, size, held)
-            _memo = memo._replace(table=table)
-    return table
 
 
 def _overlap_row(minimal: tuple[int, ...], m: int) -> np.ndarray:
@@ -406,19 +390,18 @@ def _market(instance: Instance, prices: Prices) -> _MarketView:
         view = memo.views.get(prices)
         if view is not None:
             if view is not memo.view:
-                _memo = _Memo(instance, memo.views, prices, view, memo.rows, memo.table)
+                _memo = _Memo(instance, memo.views, prices, view, memo.rows)
             return view
     else:
-        memo = _memo = _Memo(instance, {}, None, None, {}, None)
-    views, shared, table = memo.views, memo.rows, memo.table
+        memo = _memo = _Memo(instance, {}, None, None, {})
+    views, shared = memo.views, memo.rows
     base, base_prices = memo.view, memo.prices
     players, m = instance.players, instance.m
     check_price_count(prices, m)
     n = len(players)
     size, row_size = (n + 2) << m, _row_entries(m)
-    fixed = 0 if table is None else table.size
-    # rows the memo may hold with the tables and one view
-    limit = (MEMO_ENTRIES - size - fixed) // row_size
+    # rows the memo may hold with one view
+    limit = (MEMO_ENTRIES - size) // row_size
 
     def overlap_of(minimal: tuple[int, ...]) -> np.ndarray:
         row = shared.get(minimal)
@@ -466,9 +449,9 @@ def _market(instance: Instance, prices: Prices) -> _MarketView:
             excess += row
     excess.setflags(write=False)
     view = _MarketView(utility, families, minimals, reach, below, overlap, excess)
-    _make_room(views, size, size + len(shared) * row_size + fixed)
+    _make_room(views, size, size + len(shared) * row_size)
     views[prices] = view
-    _memo = _Memo(instance, views, prices, view, shared, table)
+    _memo = _Memo(instance, views, prices, view, shared)
     return view
 
 
@@ -636,9 +619,8 @@ def held_demand(instance: Instance, prices: Prices
 def demand_families(instance: Instance, prices: Prices) -> tuple[tuple[int, ...], ...]:
     """Each player's demand family at prices, straight from the value tables.
 
-    Reads no view and stores none (only the memo's stacked value tables),
-    so it checks the views independently: the auction loop uses it to
-    confirm the last prices of a replay.
+    Reads no view and stores none, so it checks the views independently:
+    the auction loop uses it to confirm the last prices of a replay.
     """
     util = _utilities(instance.players, prices)
     hit = util == util.max(axis=1, keepdims=True)

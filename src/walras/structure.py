@@ -198,8 +198,29 @@ def classify_transition(v: Valuation, prices: Prices, item: int) -> TransitionRe
     """
     check_index("item", item, v.m, v.m)
     prices = tuple(prices)
-    bit = 1 << item
     before = demand.demand_sets(v, prices).minimal_demand
+    return _classify(v, prices, before, item)
+
+
+def transition_misses(v: Valuation, prices: Prices) -> list[tuple[int, str]]:
+    """(item, detail) for every item, in order, whose unit raise
+    classify_transition rejects, with its exception's message: D*(p) is
+    scanned once for all m items."""
+    prices = tuple(prices)
+    before = demand.demand_sets(v, prices).minimal_demand
+    misses = []
+    for item in range(v.m):
+        try:
+            _classify(v, prices, before, item)
+        except UnclassifiableTransition as exc:
+            misses.append((item, str(exc)))
+    return misses
+
+
+def _classify(v: Valuation, prices: Prices, before: tuple[int, ...],
+              item: int) -> TransitionReport:
+    """classify_transition with D*(prices), before, already scanned."""
+    bit = 1 << item
     after = demand.demand_sets(v, add_indicator(prices, bit)).minimal_demand
     if any(not b & bit for b in before):
         expect = tuple(b for b in before if not b & bit)

@@ -395,7 +395,8 @@ def test_check_matroid_counts_its_exchange_steps_against_the_budget(
 def test_check_lemmas_scans_each_valuation_a_few_times_per_price(
         capsys, tmp_path, monkeypatch):
     # one scan each for the utility-drop identity and the utility distance,
-    # two per item for the transitions: none per bundle
+    # one for the transitions at p and one per item at its raise: none per
+    # bundle
     rng = random.Random(6)
     inst = make_instance(list("abcdef"),
                          [conftest.random_gs_valuation(rng, 6) for _ in range(3)])
@@ -411,7 +412,7 @@ def test_check_lemmas_scans_each_valuation_a_few_times_per_price(
     monkeypatch.setattr(demand, "demand_sets", counting)
     code, payload = run_cli(capsys, "check", "lemmas", "--instance", path)
     assert code == 0 and payload["ok"]
-    assert 0 < scans <= len(cli._price_battery(inst)) * inst.n * (2 * inst.m + 2)
+    assert 0 < scans <= len(cli._price_battery(inst)) * inst.n * (inst.m + 3)
 
 
 def lemma_findings_by_bundle(instance):

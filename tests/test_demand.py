@@ -310,11 +310,24 @@ def test_single_valuation_queries_leave_the_instance_memo_alone():
     assert memo.owner is inst and list(memo.views) == [p]
 
 
+def test_table_passes_leave_the_memo_alone():
+    inst = make_instance(["x", "y", "z"], [make_unit_demand((4, 1, 3)),
+                                           model.make_additive((2, 2, 1))])
+    p = (1, 0, 2)
+    demand.lyapunov(inst, p)
+    memo = demand._memo
+    # both players' demanded bundles all hold x, so stable_raises reads
+    # the utilities of every bundle
+    assert demand.stable_raises(inst, p, 1) == 1
+    demand.demand_families(inst, p)
+    demand.utilities_after_raise(inst.players, p)
+    demand.lyapunov_after_raise(inst, p)
+    assert demand._memo is memo
+
+
 def shared_entries(m):
-    """What the memo's overlap rows and stacked tables count against
-    MEMO_ENTRIES."""
-    rows, table = demand._memo.rows, demand._memo.table
-    return len(rows) * demand._row_entries(m) + (0 if table is None else table.size)
+    """What the memo's overlap rows count against MEMO_ENTRIES."""
+    return len(demand._memo.rows) * demand._row_entries(m)
 
 
 def test_memo_holds_at_most_its_bound(monkeypatch):
@@ -329,9 +342,9 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
         assert demand._memo.owner is inst
         assert len(demand._memo.views) * size + shared_entries(inst.m) <= demand.MEMO_ENTRIES
     # once full, the memo keeps its first views and the one added last,
-    # beside the overlap rows and stacked tables, which views make room for
+    # beside the overlap rows, which views make room for
     other = shared_entries(inst.m)
-    assert demand._memo.table is not None and other > inst.n << inst.m
+    assert other > 0
     kept = (demand.MEMO_ENTRIES - other) // size
     assert list(demand._memo.views) == grid[:kept - 1] + grid[-1:]
     assert [answers(inst, p) for p in grid] == first
@@ -367,23 +380,18 @@ def test_views_share_the_overlap_row_of_a_minimal_demand_family(monkeypatch):
     assert second.excess is first.excess
 
 
-def test_memo_drops_rows_and_tables_with_its_market():
+def test_memo_drops_rows_with_its_market():
     a = make_instance(["x", "y"], [make_unit_demand((4, 1)), make_unit_demand((1, 4))])
     b = make_instance(["x", "y"], [make_unit_demand((3, 3)), make_unit_demand((2, 5))])
     demand._memo = demand._Memo()
     assert demand.lyapunov(a, (0, 0)) == 8
     assert demand.demand_families(a, (0, 0)) == ((1, 3), (2, 3))
-    rows, table = demand._memo.rows, demand._memo.table
-    assert rows and table is not None
-    # the tables are stacked once per market
-    assert demand._stacked(a.players) is table
+    rows = demand._memo.rows
+    assert rows
     assert demand.lyapunov(b, (0, 0)) == 8
     assert demand._memo.owner is b
-    assert demand._memo.table is None
     assert not any(row is old for row in demand._memo.rows.values()
                    for old in rows.values())
-    # another market's players never read the held tables
-    assert demand._stacked(a.players) is not table
 
 
 def test_full_memo_adds_no_rows_and_answers_the_same(monkeypatch):
@@ -392,8 +400,8 @@ def test_full_memo_adds_no_rows_and_answers_the_same(monkeypatch):
     grid = [(x, y, x, y) for x in range(6) for y in range(6)]
     expected = [answers(rebuilt(inst), p) for p in grid]
     size = (inst.n + 2) << inst.m
-    # room for one view, the stacked tables and three rows
-    cap = size + (inst.n << inst.m) + 3 * demand._row_entries(inst.m)
+    # room for one view and three rows
+    cap = size + 3 * demand._row_entries(inst.m)
     monkeypatch.setattr(demand, "MEMO_ENTRIES", cap)
     demand._memo = demand._Memo()
     families = set()
@@ -403,7 +411,6 @@ def test_full_memo_adds_no_rows_and_answers_the_same(monkeypatch):
         assert len(demand._memo.rows) <= 3
         assert len(demand._memo.views) * size + shared_entries(inst.m) <= cap
     # the first three families met fill the rows, and no later one is added
-    assert demand._memo.table is not None
     assert len(demand._memo.rows) == 3 < len(families)
 
 
@@ -445,7 +452,7 @@ def test_memo_is_safe_across_threads():
     grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
 
     def per_price(inst, p):
-        # stable_raises and demand_families read the stacked value tables
+        # stable_raises and demand_families read the value tables
         return (answers(inst, p), demand.demand_families(inst, p),
                 [demand.stable_raises(inst, p, s) for s in range(1, 8)])
 

@@ -208,6 +208,9 @@ def test_unclassifiable_on_complements():
     comp = make_table(2, (0, 0, 0, 4))
     with pytest.raises(structure.UnclassifiableTransition):
         structure.classify_transition(comp, (0, 3), 0)
+    # both unit raises are rejected, from one scan at (0, 3)
+    assert structure.transition_misses(comp, (0, 3)) == [
+        (j, f"transition on item {j} fits no case: (3,) -> (0,)") for j in (0, 1)]
 
 
 @settings(max_examples=60, deadline=None)
