@@ -38,8 +38,9 @@ at a time: the prices as one rounds x r x m array of a_i + k * 1_U, the
 Lyapunov values as one of L(a_i) - k * fall_i, and the anomalies from
 comparing each value with the one before it. Each entry is linear in k,
 so an array is int64 when its entries at round 0 and at its last round
-leave room (model._int_dtype), else it holds Python integers: copies stay
-exact past 2**63.
+leave room (model._int_dtype; a narrower dtype it gives is widened by the
+int64 round index k), else it holds Python integers: copies stay exact
+past 2**63.
 
 The other rules keep unit steps: a policy may read the price, the step
 index and its own random state, and the minimizer rule reads utilities
@@ -217,7 +218,8 @@ def _append_rounds(steps: list, anomalies: list, replay: _Replay, lyap: int,
               + k[:, :, None] * unit).reshape(-1, len(unit))[:count]
     prices = list(zip(*prices.T.tolist()))      # a tuple per copy from m columns
     # each position's value is linear in k: int64 holds them all when it
-    # holds those of rounds 0 and last
+    # holds those of rounds 0 and last, and k (int64) widens a narrower
+    # dtype before the product
     ends = lyaps + tuple(v - last * fall for v, fall in zip(lyaps, replay.falls))
     dtype = _int_dtype(min(ends), max(ends))
     values = (np.array(lyaps, dtype=dtype)

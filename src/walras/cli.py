@@ -170,20 +170,22 @@ def _check_lemmas(instance: Instance) -> list[dict]:
                              f"checks, budget {budget}")
     for p in battery:
         for i, v in enumerate(instance.players):
-            for s, expected, observed in structure.utility_drop_misses(v, p):
+            # D*(p) is scanned once for the three checks
+            report = demand.demand_sets(v, p)
+            for s, expected, observed in structure.utility_drop_misses(v, p, report):
                 findings.append({
                     "player": i, "price": prices_to_json(p, instance),
                     "kind": "utility-drop identity",
                     "bundle": instance.label_bundle(s),
                     "expected": expected, "observed": observed,
                 })
-            for j, detail in structure.transition_misses(v, p):
+            for j, detail in structure.transition_misses(v, p, report):
                 findings.append({
                     "player": i, "price": prices_to_json(p, instance),
                     "kind": "unclassifiable transition",
                     "item": instance.items[j], "detail": detail,
                 })
-            for s in structure.utility_distance_misses(v, p):
+            for s in structure.utility_distance_misses(v, p, report):
                 findings.append({
                     "player": i, "price": prices_to_json(p, instance),
                     "kind": "utility distance witness missing",

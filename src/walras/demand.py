@@ -50,10 +50,24 @@ nothing either. With the views the memo holds what every view of the
 market reuses: one read-only uint8 overlap row per minimal demand family
 met, which every player and view with that family shares. A query on
 another market starts the memo afresh. Both kinds count against
-MEMO_ENTRIES int64 entries: a view (n + 2) * 2**m (more than it holds), a
-row its 2**m bytes. Rows go in while one view still fits beside them, and
-views make room for them; once the count is full, each new view replaces
-the last one added and no row is added.
+MEMO_ENTRIES int64 entries: a view (n + 2) * 2**m, which bounds its arrays
+but not its tuples of demand families, and a row its 2**m bytes. Rows go
+in while one view still fits beside them, and views make room for them;
+once the count is full, each new view replaces the last one added and no
+row is added.
+
+Every table pass runs in the narrowest dtype exact for it. Bundle prices
+take model._int_dtype of m * max |p| and value tables (Valuation.np_table)
+that of their entries: int16 within 2**13 of zero, int32 within 2**29,
+int64 within 2**61, else Python integers. A utility is one entry minus one
+bundle price, and the passes over utilities (_scan, _utilities and the
+raise sweeps) take the wider dtype of the two by numpy's promotion, where
+the headroom keeps a utility, a difference of two utilities, or a
+utility less up to m unit raises exact. What sums more than that reads
+int64: the Lyapunov sum over players here, the doubled grid in
+structure.check_gs_on_grid and the price grid in
+oracle.minimal_walrasian_price. A pass that masks or starts from the least
+utility reads it from _FLOOR, one entry per dtype.
 
 Ascending auctions only raise prices, and a new view is built from the one
 the memo returned last whenever no price fell since. Going from b to q >= b
@@ -119,13 +133,14 @@ def _static(m: int):
 
 
 @lru_cache(maxsize=32)
-def _halves(m: int) -> np.ndarray:
+def _halves(m: int, dtype) -> np.ndarray:
     """The bit matrices of the high and the low half of m items, as the two
-    diagonal blocks of one read-only matrix with m columns: first a row per
-    bundle of items m // 2 .. m - 1, then one per bundle of the items below."""
+    diagonal blocks of one read-only matrix of dtype with m columns: first a
+    row per bundle of items m // 2 .. m - 1, then one per bundle of the
+    items below."""
     low = m // 2
     high_bits, low_bits = _static(m - low)[0], _static(low)[0]
-    blocks = np.zeros((len(high_bits) + len(low_bits), m), dtype=np.int64)
+    blocks = np.zeros((len(high_bits) + len(low_bits), m), dtype=dtype)
     blocks[:len(high_bits), low:] = high_bits
     blocks[len(high_bits):, :low] = low_bits
     blocks.setflags(write=False)
@@ -133,22 +148,26 @@ def _halves(m: int) -> np.ndarray:
 
 
 def _bundle_prices(m: int, prices: Prices) -> np.ndarray:
-    """Every bundle's price, int64 while _int_dtype allows m * max |p|.
+    """Every bundle's price, in the dtype _int_dtype gives m * max |p|: the
+    narrowest integer one that holds every bundle price with headroom, else
+    Python integers.
 
     A mask is its high items above its low ones, so its price is the price
     of its high half plus that of its low half: one product with _halves(m),
-    of about 2 * 2**(m/2) rows, and one broadcast add of 2**m entries.
+    of about 2 * 2**(m/2) rows, and one broadcast add of 2**m entries. Both
+    run in that dtype, and no partial sum exceeds m * max |p|.
     """
     top = m * max(map(abs, prices))
-    half = _halves(m) @ np.asarray(prices, dtype=_int_dtype(-top, top))
+    dtype = _int_dtype(-top, top)
+    half = _halves(m, dtype) @ np.asarray(prices, dtype=dtype)
     high = 1 << (m - m // 2)
     return (half[:high, None] + half[high:]).ravel()
 
 
 def _utilities(players: Sequence[Valuation], prices: Prices) -> np.ndarray:
     """players x 2**m: each value table minus the price of every bundle,
-    written one row per player, in Python integers where a table or the
-    prices are."""
+    written one row per player in the widest of the tables' and the bundle
+    prices' dtypes, so in Python integers where a table or the prices are."""
     pcost = _bundle_prices(players[0].m, prices)
     dtype = np.result_type(pcost, *{v.np_table.dtype for v in players})
     util = np.empty((len(players), len(pcost)), dtype=dtype)
@@ -259,12 +278,17 @@ class _MarketView:
         self.excess = excess        # excess demand per bundle mask
 
 
-# The most int64 entries the memo holds for one market (16 MB). A view of
+# The most int64 entries the memo counts for one market (16 MB). A view of
 # n players counts as (n + 2) * 2**m entries: n overlap rows, the excess
-# and its demand families as one array, an upper bound since its rows are
-# uint8 and shared. A shared overlap row counts as its 2**m bytes (2**m / 8
-# entries, at least one). Every view reads the rows, so views make room
-# for them while one view still fits beside them; past that no row is added.
+# and two rows more. That bounds the view's arrays, whose overlap rows are
+# uint8 and shared, but not its Python tuples. Near zero prices, where
+# unit-demand and OXS players demand half the bundles or more, the demand
+# families alone take more than the count: 4.3 MiB against 2.4 MiB counted
+# for the view of ladder_market(Random("cli/14"), 14) at zero prices, and
+# 17.2 MiB against 10.5 MiB at m = 16. A shared overlap row counts as its
+# 2**m bytes (2**m / 8 entries, at least one). Every view reads the rows,
+# so views make room for them while one view still fits beside them; past
+# that no row is added.
 # An engine visits each price once, so the views worth keeping are the
 # first ones, which a later engine on the same market walks again from the
 # same start: once the memo is full, each new view replaces the last one
@@ -289,8 +313,12 @@ class _Memo(NamedTuple):
 
 _memo = _Memo()
 
-# below when every bundle is demanded
-_NO_BUNDLE = int(np.iinfo(np.int64).min)
+# per utility dtype, a value below every utility it holds, read where a
+# pass masks or starts from the least one: _row's mask for demanded
+# bundles, so below when every bundle is demanded, and stable_raises'
+# initial. Python integers have no least value.
+_FLOOR = {np.dtype(t): int(np.iinfo(t).min) for t in (np.int16, np.int32, np.int64)}
+_FLOOR[np.dtype(object)] = float("-inf")
 
 
 def _row_entries(m: int) -> int:
@@ -337,8 +365,9 @@ def _row(v: Valuation, pcost: np.ndarray, overlap_of):
     demanded bundles, the best utility of an undemanded bundle and the
     overlap row, which overlap_of gives for the minimal demand family."""
     util, top, hit, minimal = _scan(v, pcost)
-    util[hit] = _NO_BUNDLE
-    below = int(util.max())
+    util[hit] = _FLOOR[util.dtype]
+    # a Python scalar from any dtype, the float floor of object rows too
+    [below] = util.max(keepdims=True).tolist()
     return (top, tuple(hit.tolist()), minimal, int(np.bitwise_or.reduce(hit)),
             below, overlap_of(minimal))
 
@@ -597,7 +626,7 @@ def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[i
     top = np.array(view.utility, dtype=util.dtype)
     over = np.array(held, dtype=np.int64)
     # every level up to |R| has bundles, so the initial never survives
-    floor = np.iinfo(np.int64).min if util.dtype == np.int64 else float("-inf")
+    floor = _FLOOR[util.dtype]
     found = []
     for level in range(max(held)):
         best = util.max(axis=1, where=meet == level, initial=floor)
@@ -640,7 +669,8 @@ def lyapunov_after_raise(instance: Instance, prices: Prices) -> np.ndarray:
     """L(p + 1_S) for every bundle S, by one sweep: the players' best
     utilities at p + 1_S plus |S| + sum(p), in that order. Each utility lies
     between its empty-bundle value and vmax less the least bundle price;
-    when n such bounds may leave int64, the sum is in Python integers."""
+    the sum over players is in int64 whatever the utilities' dtype, and in
+    Python integers when n such bounds may leave int64."""
     prices = tuple(prices)
     _, pc = _static(instance.m)
     util = utilities_after_raise(instance.players, prices)
@@ -648,6 +678,7 @@ def lyapunov_after_raise(instance: Instance, prices: Prices) -> np.ndarray:
     bound = instance.n * (bound + instance.m * max(0, -min(prices)))
     if _int_dtype(-bound, bound) is object:
         util = util.astype(object)
+    # numpy sums int16 and int32 in int64
     return util.sum(axis=0) + pc + sum(prices)
 
 

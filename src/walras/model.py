@@ -22,7 +22,10 @@ monotonicity scan a numpy pass from ARRAY_SCAN_MIN (2**6) entries. The
 unit-demand fill is a numpy pass from ARRAY_FILL_MIN (2**10) entries;
 the additive and truncation fills stay list loops. Below those sizes
 numpy's fixed cost per call is the larger one. The numpy passes and
-np_table hold int64 within 2**61 of zero and Python integers past it.
+np_table take one dtype rule, _int_dtype: the narrowest of int16, int32
+and int64 whose values stay within 2**13, 2**29 or 2**61 of zero, so the
+sum or difference of two of them is exact, and Python integers past
+2**61. Every benchmark and CLI value table fits int16.
 Reading a JSON table player still parses and checks its bundle keys one
 at a time.
 
@@ -146,11 +149,14 @@ class Valuation:
 
     @cached_property
     def np_table(self):
-        # int64 while _int_dtype allows, else (or on overflow) Python integers
+        # the narrowest dtype _int_dtype allows, read off an int64 copy, else
+        # (or on overflow) Python integers
         try:
             arr = np.asarray(self.table, dtype=np.int64)
-            if _int_dtype(arr.min(), arr.max()) is object:
+            dtype = _int_dtype(arr.min(), arr.max())
+            if dtype is object:
                 raise OverflowError
+            arr = arr.astype(dtype, copy=False)
         except OverflowError:
             arr = np.asarray(self.table, dtype=object)
         arr.setflags(write=False)
@@ -177,10 +183,23 @@ ARRAY_FILL_MIN = 1 << 10
 ARRAY_SCAN_MIN = 1 << 6
 
 
+# each integer dtype _int_dtype chooses from, narrowest first, with the
+# bound its values keep below: 2**(bits - 3), so that the sum or difference
+# of two of them, or of two such sums, stays inside the dtype
+_INT_BOUNDS = tuple((1 << (8 * np.dtype(t).itemsize - 3), t)
+                    for t in (np.int16, np.int32, np.int64))
+
+
 def _int_dtype(lo: int, hi: int):
-    """int64 for values in lo .. hi when they and any sum of two fit in it,
-    else object, which keeps Python integers."""
-    return np.int64 if -(1 << 61) <= lo and hi < 1 << 61 else object
+    """The narrowest of int16, int32 and int64 whose bound 2**(bits - 3)
+    holds lo .. hi (-bound <= lo, hi < bound), else object, which keeps
+    Python integers. Any sum or difference of two such values is exact in
+    the dtype; a longer sum, a product or an out-of-range Python integer
+    needs a wider one."""
+    for bound, dtype in _INT_BOUNDS:
+        if -bound <= lo and hi < bound:
+            return dtype
+    return object
 
 
 def _int_array(table: Sequence[int]) -> np.ndarray:

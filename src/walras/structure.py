@@ -93,7 +93,9 @@ def check_gs_on_grid(v: Valuation) -> Optional[GsWitness]:
     points = radix ** m
     if points << m > budget:
         raise BudgetExceeded(f"grid scan holds {points << m} entries, budget {budget}")
-    doubled = v.np_table * 2
+    # int64 (or Python integers): the grid prices subtract up to m times
+    # radix from twice the table, past any narrower table's headroom
+    doubled = v.np_table.astype(np.result_type(v.np_table, np.int64)) * 2
 
     bits, _ = demand._static(m)
     # demanded[p + (S,)]: bundle S is demanded at grid price p
@@ -202,16 +204,17 @@ def classify_transition(v: Valuation, prices: Prices, item: int) -> TransitionRe
     return _classify(v, prices, before, item)
 
 
-def transition_misses(v: Valuation, prices: Prices) -> list[tuple[int, str]]:
+def transition_misses(v: Valuation, prices: Prices,
+                      report: demand.DemandReport) -> list[tuple[int, str]]:
     """(item, detail) for every item, in order, whose unit raise
-    classify_transition rejects, with its exception's message: D*(p) is
-    scanned once for all m items."""
+    classify_transition rejects, with its exception's message. report is
+    demand_sets(v, prices): D*(p) comes from it for all m items, and each
+    raise is one scan."""
     prices = tuple(prices)
-    before = demand.demand_sets(v, prices).minimal_demand
     misses = []
     for item in range(v.m):
         try:
-            _classify(v, prices, before, item)
+            _classify(v, prices, report.minimal_demand, item)
         except UnclassifiableTransition as exc:
             misses.append((item, str(exc)))
     return misses
@@ -283,12 +286,13 @@ def check_utility_distance(v: Valuation, prices: Prices, bundle: int) -> Utility
     return UtilityDistanceReport(gap=gap, demanded=None, ok=False)
 
 
-def utility_drop_misses(v: Valuation, prices: Prices) -> list[tuple[int, int, int]]:
+def utility_drop_misses(v: Valuation, prices: Prices,
+                        report: demand.DemandReport) -> list[tuple[int, int, int]]:
     """(bundle, expected, observed) for every nonempty bundle S whose unit
     raise p + 1_S does not lower v's best utility by min |D & S| over D in
     D*(p), the utility-drop identity, in mask order: the best utilities
-    after every raise against top minus the overlap row, as one array."""
-    report = demand.demand_sets(v, prices)
+    after every raise against top minus the overlap row, as one array.
+    report is demand_sets(v, prices), which gives top and D*(p)."""
     observed = demand.utilities_after_raise((v,), prices)[0]
     overlap = demand._overlap_row(report.minimal_demand, v.m)
     # in the utilities' dtype: top minus a uint8 row would wrap
@@ -297,12 +301,13 @@ def utility_drop_misses(v: Valuation, prices: Prices) -> list[tuple[int, int, in
             for s in (observed != expected).nonzero()[0].tolist() if s]
 
 
-def utility_distance_misses(v: Valuation, prices: Prices) -> list[int]:
+def utility_distance_misses(v: Valuation, prices: Prices,
+                            report: demand.DemandReport) -> list[int]:
     """Every bundle, in mask order, for which check_utility_distance finds
     no witness, compared for all bundles as one array: the fewest extra
     items over D*(p), min |D & ~S|, is the overlap row at the complement
-    of S, and a miss is one that exceeds the utility gap."""
-    report = demand.demand_sets(v, prices)
+    of S, and a miss is one that exceeds the utility gap. report is
+    demand_sets(v, prices), which gives the best utility and D*(p)."""
     extra = demand._overlap_row(report.minimal_demand, v.m)[::-1]
     gap = report.utility - demand._utilities((v,), prices)[0]
     return (extra > gap).nonzero()[0].tolist()

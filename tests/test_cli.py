@@ -394,8 +394,8 @@ def test_check_matroid_counts_its_exchange_steps_against_the_budget(
 
 def test_check_lemmas_scans_each_valuation_a_few_times_per_price(
         capsys, tmp_path, monkeypatch):
-    # one scan each for the utility-drop identity and the utility distance,
-    # one for the transitions at p and one per item at its raise: none per
+    # one scan at p, shared by the utility-drop identity, the transitions
+    # and the utility distance, and one per item at its raise: none per
     # bundle
     rng = random.Random(6)
     inst = make_instance(list("abcdef"),
@@ -412,7 +412,7 @@ def test_check_lemmas_scans_each_valuation_a_few_times_per_price(
     monkeypatch.setattr(demand, "demand_sets", counting)
     code, payload = run_cli(capsys, "check", "lemmas", "--instance", path)
     assert code == 0 and payload["ok"]
-    assert 0 < scans <= len(cli._price_battery(inst)) * inst.n * (inst.m + 3)
+    assert 0 < scans <= len(cli._price_battery(inst)) * inst.n * (inst.m + 1)
 
 
 def lemma_findings_by_bundle(instance):

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walras import auctions, demand, model, oracle
 from walras.model import add_indicator, make_instance, make_unit_demand, popcount
@@ -763,15 +763,19 @@ def test_unit_demand_past_int64_answers_demand_queries():
 
 def matmul_bundle_prices(m, prices):
     """The retired bundle pricing, kept as the reference: the full 2**m x m
-    bit matrix times the prices, int64 while _int_dtype allows m * max |p|."""
+    bit matrix times the prices, both in the dtype _int_dtype gives
+    m * max |p|."""
     top = m * max(map(abs, prices))
-    return demand._static(m)[0] @ np.asarray(prices, dtype=model._int_dtype(-top, top))
+    dtype = model._int_dtype(-top, top)
+    return demand._static(m)[0].astype(dtype) @ np.asarray(prices, dtype=dtype)
 
 
 @st.composite
 def sized_prices(draw):
     m = draw(st.integers(1, 14))
-    near = st.sampled_from((0, 2 ** 61 - 8, -(2 ** 61), 2 ** 63, 2 ** 66))
+    # m * max |p| on both sides of each rung's bound: 2**13, 2**29, 2**61
+    near = st.sampled_from((0, 2 ** 13 // m, -(2 ** 13 // m), 2 ** 29 // m,
+                            -(2 ** 29 // m), 2 ** 61 - 8, -(2 ** 61), 2 ** 63, 2 ** 66))
     return m, tuple(draw(near) + draw(st.integers(-8, 8)) for _ in range(m))
 
 
@@ -865,17 +869,27 @@ def python_stable_raises(rows, raised):
                for t, u in enumerate(util) if popcount(t & raised) < c)
 
 
-SHIFTS = (0, 2 ** 61 - 8, 2 ** 62, 2 ** 63, 2 ** 70, -2 ** 70)
-PRICE_BASES = (0, 2 ** 61 - 8, 2 ** 62, 2 ** 63, 2 ** 65, -2 ** 59)
+# on both sides of each rung's bound: +-2**13 (int16), +-2**29 (int32) and
+# 2**61 (int64); the price bases near 2**11 and 2**27 put bundle prices of
+# a few items there too
+SHIFTS = (0, 2 ** 13 - 8, -2 ** 13 - 4, 2 ** 29 - 8, -2 ** 29 - 4,
+          2 ** 61 - 8, 2 ** 62, 2 ** 63, 2 ** 70, -2 ** 70)
+PRICE_BASES = (0, 2 ** 11 - 4, 2 ** 13 - 8, -2 ** 13 - 4, 2 ** 27 - 4, 2 ** 29 - 8,
+               -2 ** 29 - 4, 2 ** 61 - 8, 2 ** 62, 2 ** 63, 2 ** 65, -2 ** 59)
 
 
 @settings(max_examples=300, deadline=None)
 @given(seeds, st.sampled_from(KINDS))
+# seeds whose utilities, of tables and prices within a rung's bound, pass
+# 2**15 (306) and 2**31 (204): an int16 or int32 without headroom wraps there
+@example(306, "gs")
+@example(204, "nonmonotone")
 def test_demand_matches_python_integers_past_int64(seed, kind):
     # each table is shifted by a constant on its nonempty bundles, or on
-    # all of them, and prices sit near a large base; most players share
-    # one shift and most items one base, so values, bundle prices and sums
-    # over players pass int64 together. The reference is Python integers.
+    # all of them, and prices sit near a base; most players share one shift
+    # and most items one base, so values, bundle prices and sums over
+    # players pass a dtype's bound together, int16's and int32's as well as
+    # int64's. The reference is Python integers.
     rng = random.Random(seed)
     base = market_of(rng, kind, rng.randint(1, 4), rng.randint(1, 6))
     shift, price = rng.choice(SHIFTS), rng.choice(PRICE_BASES)

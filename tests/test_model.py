@@ -198,8 +198,9 @@ def loop_truncation(base, k, cap):
     return table
 
 
-# around 2**61, where the array passes switch from int64 to Python integers
-OFFSETS = (0, 0, 2 ** 61 - 8, 2 ** 63, 2 ** 70)
+# around 2**13, 2**29 and 2**61, where the array passes switch from int16
+# to int32, to int64 and to Python integers
+OFFSETS = (0, 0, 2 ** 13 - 8, 2 ** 29 - 8, 2 ** 61 - 8, 2 ** 63, 2 ** 70)
 
 
 def random_table(rng, m):
@@ -297,10 +298,29 @@ def test_singleton_fills_on_both_sides_of_int64(m, seed):
     # the unit-demand fill runs on int64 while its values stay below 2**61
     # and on Python integers past that
     rng = random.Random(seed)
-    top = rng.choice((8, 2 ** 61 // m, 2 ** 61 // m + 1, 2 ** 62, 2 ** 64))
+    top = rng.choice((8, 2 ** 13, 2 ** 29, 2 ** 61 // m, 2 ** 61 // m + 1, 2 ** 62, 2 ** 64))
     vals = [rng.randint(0, top) for _ in range(m)]
     assert list(make_additive(vals).table) == lowest_bit_additive(vals)
     assert list(make_unit_demand(vals).table) == lowest_bit_unit_demand(vals)
+
+
+@pytest.mark.parametrize("lo, hi, dtype", [
+    (0, 2 ** 13 - 1, np.int16), (-(2 ** 13), 0, np.int16),
+    (0, 2 ** 13, np.int32), (-(2 ** 13) - 1, 0, np.int32),
+    (0, 2 ** 29 - 1, np.int32), (-(2 ** 29), 0, np.int32),
+    (0, 2 ** 29, np.int64), (-(2 ** 29) - 1, 0, np.int64),
+    (0, 2 ** 61 - 1, np.int64), (-(2 ** 61), 0, np.int64),
+    (0, 2 ** 61, object), (-(2 ** 61) - 1, 0, object),
+])
+def test_np_table_takes_the_narrowest_dtype_with_headroom(lo, hi, dtype):
+    # each rung keeps its values within 2**(bits - 3) of zero, so that a
+    # table entry minus a bundle price, and the difference of two such
+    # utilities, stays inside it
+    v = make_table(2, [0, lo, hi, lo + hi])
+    assert v.np_table.dtype == dtype
+    assert model._int_dtype(lo, hi) == dtype
+    assert v.np_table.tolist() == list(v.table)
+    assert not v.np_table.flags.writeable
 
 
 def test_additive_total_past_int64():
