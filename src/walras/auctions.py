@@ -13,7 +13,8 @@ its excess f and its tie-break flag read only the demand families at the
 current price, and along a ray p + k * 1_U those stay fixed until the
 break point of demand.stable_raises: every demanded bundle of player i
 meets U in the same c_i items, so all of them lose c_i per raise and no
-other bundle catches up before then.
+other bundle catches up before then. Both planners pass it the demand
+demand.held_demand reads off the view at the current price.
 
 * The full-set rule takes long steps: up to p + (k* - 1) * 1_R its step
   is the one at p, and the Lyapunov value falls by exactly f per raise
@@ -28,7 +29,10 @@ other bundle catches up before then.
   c_i read from the families at a_i. A round is tried once it has run
   three times in a row, a free bound from the empty bundle and the
   singletons screens it, and one that breaks before MIN_ROUNDS rounds is
-  played a step at a time; a failed try waits for three more rounds.
+  played a step at a time; a failed try waits for three more rounds. The
+  planner keeps the demand it read at each of its last m + 1 steps and a
+  round reads its positions from that record, not from the demand memo;
+  no step with a family of over demand.SCAN_MEMBERS bundles is kept.
 
 Either way the loop appends the steps without a view for each, stops at
 the iteration cap inside them as the unit-step loop would, and builds the
@@ -245,9 +249,9 @@ def _long_step(instance: Instance, steps: list, step: AuctionStep
     point of its raise. stable_raises returns None only for a raise that no
     demanded bundle meets, which an over-demanded set is not; the cap would
     bound such a replay."""
-    rounds = demand.stable_raises(instance, step.price_before, step.raised)
-    held = demand.held_demand(instance, step.price_before) if rounds != 1 else None
-    if held is None:
+    held = demand.held_demand(instance, step.price_before)
+    rounds = demand.stable_raises(instance, step.price_before, step.raised, *held)
+    if rounds == 1:
         return None
     return _Replay((step,), (step.f_value,), (held[1],), step.raised, 0,
                    rounds or iteration_cap(instance))
@@ -258,6 +262,9 @@ def _round_replay() -> Planner:
     once it has run three times in a row (see the module docstring)."""
     last_at: dict[int, int] = {}    # raised item -> the last step that raised it
     since: Optional[int] = 0        # rounds are read from this step on
+    # step -> the (utilities, families) read there, None where a family is
+    # too large to walk in Python: the last m + 1 steps since the last replay
+    read: dict[int, Optional[tuple]] = {}
 
     def plan(instance: Instance, steps: list, step: AuctionStep
              ) -> Optional[_Replay]:
@@ -265,6 +272,10 @@ def _round_replay() -> Planner:
         t = len(steps)
         if since is None:       # a replay ended here
             since = t
+            read.clear()
+        held = demand.held_demand(instance, step.price_before)
+        read[t] = None if any(len(f) > demand.SCAN_MEMBERS for f in held[1]) else held
+        read.pop(t - instance.m - 1, None)
         start = last_at.get(step.raised, -1)
         last_at[step.raised] = t
         r = t - start
@@ -278,7 +289,7 @@ def _round_replay() -> Planner:
             items |= s.raised
         if items.bit_count() != r:
             return None
-        replay = _round_at(instance, tuple(steps[start:]), step, items)
+        replay = _round_at(instance, tuple(steps[start:]), step, items, read)
         # after a failed try the round must run three more times before
         # the next one
         since = None if replay is not None else t
@@ -288,10 +299,10 @@ def _round_replay() -> Planner:
 
 
 def _round_at(instance: Instance, round_steps: tuple[AuctionStep, ...],
-              step: AuctionStep, items: int) -> Optional[_Replay]:
+              step: AuctionStep, items: int, read: dict) -> Optional[_Replay]:
     """The replay of round_steps, one round on at step's price, or None when
-    its demand changed, the memo no longer holds its views, or it breaks
-    before MIN_ROUNDS rounds.
+    its demand changed, it breaks before MIN_ROUNDS rounds, or read, the
+    demand kept at each step by index, has None at one of them.
 
     The empty bundle and the singletons bound the break point for free:
     where every demanded bundle of player i loses c_i > 0 per round, one
@@ -299,8 +310,7 @@ def _round_at(instance: Instance, round_steps: tuple[AuctionStep, ...],
     rounds. Past that screen, demand.stable_raises at each position,
     stopping at the first that is too small.
     """
-    now = demand.held_demand(instance, step.price_before)
-    first = demand.held_demand(instance, round_steps[0].price_before)
+    now, first = read[step.t], read[round_steps[0].t]
     if now is None or first is None or now[1] != first[1]:
         return None
     q = step.price_before
@@ -318,10 +328,10 @@ def _round_at(instance: Instance, round_steps: tuple[AuctionStep, ...],
         return None
     rounds, families = None, []
     for s in round_steps:
-        held = demand.held_demand(instance, s.price_before)
+        held = read[s.t]
         if held is None:
             return None
-        k = demand.stable_raises(instance, s.price_before, items)
+        k = demand.stable_raises(instance, s.price_before, items, *held)
         if k is not None:
             if k < MIN_ROUNDS:
                 return None

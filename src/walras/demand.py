@@ -18,8 +18,9 @@ over_demanded_set returns the inclusion-minimal maximizer of excess demand;
 minimal_minimizer returns the smallest bundle whose unit raise minimizes the
 Lyapunov function. On gross-substitutes input the two coincide step for step,
 which the auction engines exploit and the tests verify. stable_raises counts
-the unit raises of a set that leave every demand family as it is, so the
-gs and fine engines can take them without a view for each.
+the unit raises of a set that leave every demand family as it is, from the
+demand its caller passes and the value tables, so the gs and fine engines
+can take them without a view for each.
 
 Demand, D*(p) and the overlaps enumerate all 2**m bundles per player, and
 the obstacle all 2**m excess values. Two quantities are sweeps instead,
@@ -41,20 +42,21 @@ unit-demand and OXS players demand near zero prices, with at most a
 handful of minimal members, cost no Python per member.
 The per-price views behind the market reports are memoized for one market
 at a time: the instance queried last, compared by identity, so the engines
-run on one market share its views without hashing its tables. Only an
-instance owns the memo: demand_sets and min_demand_overlap read one
-valuation's value table and hold nothing, and the table passes
+run on one market share its views without hashing its tables. _market is
+the memo's only reader and writer: every other function here reaches a
+view through it, so what the memo keeps or evicts changes how often a view
+is built, never a result. Only an instance owns the memo: demand_sets and
+min_demand_overlap read one valuation's value table, and the table passes
 (stable_raises, demand_families, utilities_after_raise) write each
-player's utilities from its value table into a fresh array and hold
-nothing either. With the views the memo holds what every view of the
-market reuses: one read-only uint8 overlap row per minimal demand family
-met, which every player and view with that family shares. A query on
-another market starts the memo afresh. Both kinds count against
-MEMO_ENTRIES int64 entries: a view (n + 2) * 2**m, which bounds its arrays
-but not its tuples of demand families, and a row its 2**m bytes. Rows go
-in while one view still fits beside them, and views make room for them;
-once the count is full, each new view replaces the last one added and no
-row is added.
+player's utilities from it into a fresh array; neither holds anything.
+With the views the memo holds what every view of the market reuses: one
+read-only uint8 overlap row per minimal demand family met, which every
+player and view with that family shares. A query on another market starts
+the memo afresh. Both kinds count against MEMO_ENTRIES int64 entries: a
+view (n + 2) * 2**m, which bounds its arrays but not its tuples of demand
+families, and a row its 2**m bytes. Rows go in while one view still fits
+beside them, and views make room for them; once the count is full, each
+new view replaces the last one added and no row is added.
 
 Every table pass runs in the narrowest dtype exact for it. Bundle prices
 take model._int_dtype of m * max |p| and value tables (Valuation.np_table)
@@ -109,7 +111,7 @@ import numpy as np
 
 from .model import (
     DEFAULT_OP_BUDGET, BudgetExceeded, Instance, Prices, Valuation, _int_dtype,
-    check_index, check_price_count, lex_key, popcount, price_of,
+    check_index, check_players, check_price_count, lex_key, popcount, price_of,
 )
 
 
@@ -122,14 +124,12 @@ def _masks(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _static(m: int):
-    """Per-universe constants: bit matrix and popcount table."""
-    masks = _masks(m)
-    bits = ((masks[:, None] >> np.arange(m)) & 1).astype(np.int64)
-    pc = bits.sum(axis=1)
-    bits.setflags(write=False)
+def _popcounts(m: int) -> np.ndarray:
+    """The size of every bundle of m items, in mask order, read-only, in
+    int64: a view's excess is a uint8 overlap row less these, which wraps."""
+    pc = np.bitwise_count(_masks(m)).astype(np.int64)
     pc.setflags(write=False)
-    return bits, pc
+    return pc
 
 
 @lru_cache(maxsize=32)
@@ -139,10 +139,10 @@ def _halves(m: int, dtype) -> np.ndarray:
     row per bundle of items m // 2 .. m - 1, then one per bundle of the
     items below."""
     low = m // 2
-    high_bits, low_bits = _static(m - low)[0], _static(low)[0]
-    blocks = np.zeros((len(high_bits) + len(low_bits), m), dtype=dtype)
-    blocks[:len(high_bits), low:] = high_bits
-    blocks[len(high_bits):, :low] = low_bits
+    high = 1 << (m - low)
+    blocks = np.zeros((high + (1 << low), m), dtype=dtype)
+    blocks[:high, low:] = _masks(m - low)[:, None] >> np.arange(m - low) & 1
+    blocks[high:, :low] = _masks(low)[:, None] >> np.arange(low) & 1
     blocks.setflags(write=False)
     return blocks
 
@@ -278,17 +278,13 @@ class _MarketView:
         self.excess = excess        # excess demand per bundle mask
 
 
-# The most int64 entries the memo counts for one market (16 MB). A view of
-# n players counts as (n + 2) * 2**m entries: n overlap rows, the excess
-# and two rows more. That bounds the view's arrays, whose overlap rows are
-# uint8 and shared, but not its Python tuples. Near zero prices, where
-# unit-demand and OXS players demand half the bundles or more, the demand
-# families alone take more than the count: 4.3 MiB against 2.4 MiB counted
-# for the view of ladder_market(Random("cli/14"), 14) at zero prices, and
-# 17.2 MiB against 10.5 MiB at m = 16. A shared overlap row counts as its
-# 2**m bytes (2**m / 8 entries, at least one). Every view reads the rows,
-# so views make room for them while one view still fits beside them; past
-# that no row is added.
+# The most int64 entries the memo counts for one market (16 MB), by the
+# rules of the module docstring; a shared row is 2**m / 8 entries, at
+# least one. The count misses a view's Python tuples: near zero prices,
+# where unit-demand and OXS players demand half the bundles or more, the
+# demand families alone take 4.3 MiB against 2.4 MiB counted for the view
+# of ladder_market(Random("cli/14"), 14) at zero prices, and 17.2 MiB
+# against 10.5 MiB at m = 16.
 # An engine visits each price once, so the views worth keeping are the
 # first ones, which a later engine on the same market walks again from the
 # same start: once the memo is full, each new view replaces the last one
@@ -473,7 +469,7 @@ def _market(instance: Instance, prices: Prices) -> _MarketView:
                 excess += overlap[i]
                 excess -= base.overlap[i]
     else:
-        excess = overlap[0] - _static(m)[1]
+        excess = overlap[0] - _popcounts(m)
         for row in overlap[1:]:
             excess += row
     excess.setflags(write=False)
@@ -482,13 +478,6 @@ def _market(instance: Instance, prices: Prices) -> _MarketView:
     views[prices] = view
     _memo = _Memo(instance, views, prices, view, shared)
     return view
-
-
-def _held(instance: Instance, prices: Prices) -> Optional[_MarketView]:
-    """The memo's view of instance at prices, if it holds one, read without
-    making it the view returned last."""
-    memo = _memo
-    return memo.views.get(tuple(prices)) if memo.owner is instance else None
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +556,14 @@ def over_demanded_set(instance: Instance, prices: Prices,
     given, excess demand counts only those players' overlaps, and per_player
     lists them in that order.
     """
+    if players is not None:
+        check_players(players, instance.n)
     view = _market(instance, prices)
     if players is None:
         overlap, excess = view.overlap, view.excess
     else:
-        _, pc = _static(instance.m)
         overlap = [view.overlap[i] for i in players]
-        excess = np.sum(overlap, axis=0, dtype=np.int64) - pc
+        excess = np.sum(overlap, axis=0, dtype=np.int64) - _popcounts(instance.m)
     top = int(excess.max())
     if top <= 0:
         return ObstacleReport(0, 0, (0,) * len(overlap), True)
@@ -593,9 +583,12 @@ def lyapunov(instance: Instance, prices: Prices) -> int:
     return sum(view.utility) + sum(prices)
 
 
-def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[int]:
+def stable_raises(instance: Instance, prices: Prices, raised: int,
+                  tops: Sequence[int], families: Sequence) -> Optional[int]:
     """The break point k*: unit raises of raised from prices that keep every
-    player's demand family, or None when no raise ever changes it.
+    player's demand family, or None when no raise ever changes it. tops and
+    families are each player's best utility and demand family at prices,
+    as held_demand gives them; besides them it reads only the value tables.
 
     Along p + k * 1_R a bundle T's utility falls by k * |T & R|. When all of
     player i's demanded bundles share one overlap c_i with R, they stay its
@@ -606,24 +599,16 @@ def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[i
     player's demanded bundles meet R in different numbers, only those
     meeting it least stay demanded after one raise: k* is 1, found from the
     demand families alone. Otherwise one pass over the n * 2**m utilities,
-    grouped by their bundle's overlap with R. A view the memo holds is read
-    without making it the one returned last, so the auction loop may ask
-    about prices it has left behind and still build its next view from the
-    current one.
+    grouped by their bundle's overlap with R.
     """
-    view = _held(instance, prices) or _market(instance, prices)
-    held = []
-    for demand in view.demand:
-        c = popcount(demand[0] & raised)
-        if any(popcount(s & raised) != c for s in demand):
-            return 1
-        held.append(c)
+    held = [popcount(family[0] & raised) for family in families]
+    if any(popcount(s & raised) != c for family, c in zip(families, held) for s in family):
+        return 1
     if not any(held):
         return None
-    _, pc = _static(instance.m)
-    meet = pc[_masks(instance.m) & raised]
+    meet = _popcounts(instance.m)[_masks(instance.m) & raised]
     util = _utilities(instance.players, prices)
-    top = np.array(view.utility, dtype=util.dtype)
+    top = np.array(tops, dtype=util.dtype)
     over = np.array(held, dtype=np.int64)
     # every level up to |R| has bundles, so the initial never survives
     floor = _FLOOR[util.dtype]
@@ -636,13 +621,11 @@ def stable_raises(instance: Instance, prices: Prices, raised: int) -> Optional[i
     return int(min(found))
 
 
-def held_demand(instance: Instance, prices: Prices
-                ) -> Optional[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+def held_demand(instance: Instance, prices: Prices) -> tuple[tuple, tuple]:
     """Each player's best utility and demand family at prices, the tuples of
-    the view the memo holds there, or None when it holds none. Builds no
-    view and leaves the memo as it is."""
-    view = _held(instance, prices)
-    return None if view is None else (view.utility, view.demand)
+    the market's view there."""
+    view = _market(instance, prices)
+    return view.utility, view.demand
 
 
 def demand_families(instance: Instance, prices: Prices) -> tuple[tuple[int, ...], ...]:
@@ -672,14 +655,13 @@ def lyapunov_after_raise(instance: Instance, prices: Prices) -> np.ndarray:
     the sum over players is in int64 whatever the utilities' dtype, and in
     Python integers when n such bounds may leave int64."""
     prices = tuple(prices)
-    _, pc = _static(instance.m)
     util = utilities_after_raise(instance.players, prices)
     bound = max(abs(instance.vmax), *(abs(v.table[0]) for v in instance.players))
     bound = instance.n * (bound + instance.m * max(0, -min(prices)))
     if _int_dtype(-bound, bound) is object:
         util = util.astype(object)
     # numpy sums int16 and int32 in int64
-    return util.sum(axis=0) + pc + sum(prices)
+    return util.sum(axis=0) + _popcounts(instance.m) + sum(prices)
 
 
 def minimal_minimizer_report(instance: Instance, prices: Prices) -> MinimizerReport:

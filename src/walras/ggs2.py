@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from . import demand, oracle
 from .auctions import AuctionStep, AuctionTrace, iteration_cap
 from .model import (
-    Instance, InvariantViolation, Prices, add_indicator, make_instance,
+    Instance, InvariantViolation, Prices, add_indicator, check_players, make_instance,
     make_truncation, make_unit_demand, popcount, prices_to_json,
 )
 
@@ -108,6 +108,7 @@ def build_demand_graph(instance: Instance, prices: Prices,
                        players: Sequence[int]) -> dict[int, tuple[int, ...]]:
     """Each player, in increasing order, mapped to the items x, in
     increasing order, whose singleton {x} it demands."""
+    check_players(players, instance.n)
     reports = demand.demand_reports(instance, tuple(prices))
     return {i: tuple(s.bit_length() - 1 for s in reports[i].demand
                      if popcount(s) == 1)

@@ -102,6 +102,12 @@ def check_index(what: str, value: int, size: int, m: int) -> None:
         raise ValueError(f"{what} must be in 0..{size - 1} for m = {m}, got {value}")
 
 
+def check_players(players: Sequence[int], n: int) -> None:
+    """Reject repeated player indices and any outside 0 .. n - 1, naming n."""
+    if len(set(players)) < len(players) or not all(0 <= i < n for i in players):
+        raise ValueError(f"players must be distinct and in 0..{n - 1} for n = {n}, got {players}")
+
+
 def lex_key(mask: int) -> tuple[int, ...]:
     """Sort key realizing 'lexicographically smallest bundle by item order'."""
     return tuple(iter_items(mask))

@@ -97,11 +97,11 @@ def check_gs_on_grid(v: Valuation) -> Optional[GsWitness]:
     # radix from twice the table, past any narrower table's headroom
     doubled = v.np_table.astype(np.result_type(v.np_table, np.int64)) * 2
 
-    bits, _ = demand._static(m)
+    masks = demand._masks(m)
     # demanded[p + (S,)]: bundle S is demanded at grid price p
     util = np.broadcast_to(doubled, (radix,) * m + (1 << m,)).copy()
     for j, x in enumerate(np.ix_(*[np.arange(radix)] * m)):
-        util -= x[..., None] * bits[:, j]
+        util -= x[..., None] * (masks >> j & 1)
     demanded = util == util.max(axis=-1, keepdims=True)
     del util
 

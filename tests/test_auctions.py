@@ -199,23 +199,31 @@ def test_steps_record_the_tie_break():
     assert all(s.unique for s in trace.steps)
 
 
+def break_point(inst, p, raised):
+    """demand.stable_raises from the demand of the market's view at p."""
+    return demand.stable_raises(inst, p, raised, *demand.held_demand(inst, p))
+
+
 def test_stable_raises_break_point():
     inst = two_buyers_one_item()
     # both buyers keep demanding x until its price reaches their value
-    assert demand.stable_raises(inst, (0,), 0b1) == 5
-    assert demand.stable_raises(inst, (3,), 0b1) == 2
+    assert break_point(inst, (0,), 0b1) == 5
+    assert break_point(inst, (3,), 0b1) == 2
     # at 5 each buyer demands x and the empty bundle, which meet x in 1
     # and 0 items: the next raise changes demand
-    assert demand.stable_raises(inst, (5,), 0b1) == 1
+    assert break_point(inst, (5,), 0b1) == 1
     # y worth nothing and priced 1: nobody demands it, so raising it
     # never changes demand
     solo = make_instance(["x", "y"], [make_unit_demand((4, 0))])
-    assert demand.stable_raises(solo, (0, 1), 0b10) is None
+    assert break_point(solo, (0, 1), 0b10) is None
     # the empty bundle closes its gap of 5 by 2 per raise, a singleton its
     # gap of 4 by 1: the break comes after ceil(5 / 2) = 3 raises
     pair = make_instance(["x", "y"], [make_table(2, (0, 1, 1, 5))] * 2)
     assert demand.demand_sets(pair.players[0], (0, 0)).demand == (0b11,)
-    assert demand.stable_raises(pair, (0, 0), 0b11) == 3
+    assert break_point(pair, (0, 0), 0b11) == 3
+    # it reads the demand it is given, not the market's views
+    assert demand.stable_raises(inst, (3,), 0b1, (2, 2), ((0b1,), (0b1,))) == 2
+    assert demand.stable_raises(inst, (3,), 0b1, (2, 2), ((0b1,), (0, 0b1))) == 1
 
 
 def test_demand_families_match_the_views():
@@ -432,23 +440,28 @@ def test_copies_are_exact_past_int64():
         assert trace == reference(inst)
 
 
-def test_fine_replays_build_few_views(monkeypatch):
+def test_fine_replays_build_few_views():
     # over 5,000 fine steps on the market where gs takes long steps, nearly
-    # all of them copies of a round that repeats
+    # all of them copies of a round that repeats; the planner keeps the
+    # demand it read at each step of a round, so a memo that holds one view
+    # replays as often as the default one
     inst = deep_style_market()
-    built = set()
     view = demand._market
+    for entries in (demand.MEMO_ENTRIES, 1):
+        built = set()
 
-    def counting(instance, prices):
-        built.add((id(instance), tuple(prices)))
-        return view(instance, prices)
+        def counting(instance, prices):
+            built.add((id(instance), tuple(prices)))
+            return view(instance, prices)
 
-    monkeypatch.setattr(demand, "_market", counting)
-    trace = auctions.fine_auction(inst)
-    assert trace.terminated and len(trace.steps) > 5000
-    assert len(built) < len(trace.steps) / 10
-    monkeypatch.setattr(demand, "_market", view)
-    assert trace == unit_step_fine(inst)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(demand, "MEMO_ENTRIES", entries)
+            mp.setattr(demand, "_memo", demand._Memo())
+            mp.setattr(demand, "_market", counting)
+            trace = auctions.fine_auction(inst)
+        assert trace.terminated and len(trace.steps) > 5000
+        assert len(built) < len(trace.steps) / 10
+        assert trace == unit_step_fine(inst)
 
 
 def test_fine_rebuilds_only_the_rows_its_raise_meets(monkeypatch):
@@ -546,7 +559,7 @@ def test_overstated_break_point_survives_python_O():
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         real = demand.stable_raises
-        demand.stable_raises = lambda inst, p, r: real(inst, p, r) + 1
+        demand.stable_raises = lambda *args: real(*args) + 1
         inst = make_instance(["x"], [make_unit_demand((5,)),
                                      make_unit_demand((5,))])
         try:
@@ -581,7 +594,7 @@ def test_overstated_round_break_point_survives_python_O():
             for _ in range(9)])
         assert auctions.fine_auction(inst).terminated
         real = demand.stable_raises
-        demand.stable_raises = lambda inst, p, r: real(inst, p, r) + 1
+        demand.stable_raises = lambda *args: real(*args) + 1
         try:
             trace = auctions.fine_auction(inst)
         except walras.InvariantViolation as e:

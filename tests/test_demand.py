@@ -116,6 +116,29 @@ def test_obstacle_anchor():
     assert ob.unique
 
 
+def one_buyer_of_x():
+    """At price 2 only player 0 demands x, so no set is over-demanded."""
+    return make_instance(["x"], [make_unit_demand((4,)), make_unit_demand((1,))]), (2,)
+
+
+def test_obstacle_rejects_players_outside_the_market():
+    # -1 would read player 1 from the end, -3 and 2 past either end
+    inst, p = one_buyer_of_x()
+    assert demand.over_demanded_set(inst, p).excess == 0
+    for players in ((-1,), (-3,), (2,), (0, 2)):
+        with pytest.raises(ValueError, match=r"0\.\.1 for n = 2"):
+            demand.over_demanded_set(inst, p, players=players)
+
+
+def test_obstacle_rejects_a_repeated_player():
+    # counting player 0 twice would over-demand x with excess 1
+    inst, p = one_buyer_of_x()
+    with pytest.raises(ValueError, match=r"distinct and in 0\.\.1 for n = 2"):
+        demand.over_demanded_set(inst, p, players=(0, 0))
+    assert demand.over_demanded_set(inst, p, players=(1, 0)) == \
+        demand.over_demanded_set(inst, p)
+
+
 def test_lyapunov_values():
     inst = two_buyers_one_item()
     assert demand.lyapunov(inst, (0,)) == 10
@@ -318,7 +341,7 @@ def test_table_passes_leave_the_memo_alone():
     memo = demand._memo
     # both players' demanded bundles all hold x, so stable_raises reads
     # the utilities of every bundle
-    assert demand.stable_raises(inst, p, 1) == 1
+    assert demand.stable_raises(inst, p, 1, *demand.held_demand(inst, p)) == 1
     demand.demand_families(inst, p)
     demand.utilities_after_raise(inst.players, p)
     demand.lyapunov_after_raise(inst, p)
@@ -453,8 +476,9 @@ def test_memo_is_safe_across_threads():
 
     def per_price(inst, p):
         # stable_raises and demand_families read the value tables
+        held = demand.held_demand(inst, p)
         return (answers(inst, p), demand.demand_families(inst, p),
-                [demand.stable_raises(inst, p, s) for s in range(1, 8)])
+                [demand.stable_raises(inst, p, s, *held) for s in range(1, 8)])
 
     expected = [[per_price(rebuilt(inst), p) for p in grid] for inst in markets]
     assert expected[0] != expected[1]
@@ -767,7 +791,8 @@ def matmul_bundle_prices(m, prices):
     m * max |p|."""
     top = m * max(map(abs, prices))
     dtype = model._int_dtype(-top, top)
-    return demand._static(m)[0].astype(dtype) @ np.asarray(prices, dtype=dtype)
+    bits = demand._masks(m)[:, None] >> np.arange(m) & 1
+    return bits.astype(dtype) @ np.asarray(prices, dtype=dtype)
 
 
 @st.composite
@@ -918,4 +943,6 @@ def test_demand_matches_python_integers_past_int64(seed, kind):
     assert demand.minimal_minimizer_report(inst, p) == demand.MinimizerReport(
         min(winners, key=model.lex_key), low, len(winners) == 1)
     raised = rng.randint(1, (1 << inst.m) - 1)
-    assert demand.stable_raises(inst, p, raised) == python_stable_raises(rows, raised)
+    tops, families = [top for top, _, _, _ in rows], [family for _, family, _, _ in rows]
+    assert demand.stable_raises(inst, p, raised, tops, families) == \
+        python_stable_raises(rows, raised)

@@ -62,6 +62,15 @@ def test_matching_and_hall_witness():
     assert exc.value.witness == (0, 1)
 
 
+def test_demand_graph_rejects_players_outside_the_market():
+    # -1 would be a key of its own, reading player 1 from the end
+    inst = make_instance(
+        ["a", "b"], [make_unit_demand((3, 0)), make_unit_demand((3, 0))])
+    for players in ((-1, 0), (-3, 1), (0, 2)):
+        with pytest.raises(ValueError, match=r"0\.\.1 for n = 2"):
+            ggs2.build_demand_graph(inst, (0, 0), players)
+
+
 def test_matching_cover_is_koenig():
     inst = make_instance(
         ["a", "b", "c"],

@@ -286,7 +286,7 @@ def grid_scan(inst):
     welfare = oracle.max_welfare(inst).welfare
     grid = np.array(list(itertools.product(*(range(c + 1) for c in caps))),
                     dtype=np.int64).reshape(-1, inst.m)
-    bits, _ = demand._static(inst.m)
+    bits = demand._masks(inst.m)[:, None] >> np.arange(inst.m) & 1
     pcost = grid @ bits.T
     lvals = grid.sum(axis=1)
     for v in inst.players:

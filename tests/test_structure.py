@@ -57,7 +57,7 @@ def c_order_gs_witness(v):
     doubled = np.asarray(v.table, dtype=np.int64) * 2
     bound = 2 * v.vmax + 1
     radix = bound + 1
-    bits, _ = demand._static(m)
+    bits = demand._masks(m)[:, None] >> np.arange(m) & 1
     grid = np.array(list(itertools.product(range(radix), repeat=m)),
                     dtype=np.int64)
     util = doubled[None, :] - grid @ bits.T
