@@ -68,8 +68,8 @@ the headroom keeps a utility, a difference of two utilities, or a
 utility less up to m unit raises exact. What sums more than that reads
 int64: the Lyapunov sum over players here, the doubled grid in
 structure.check_gs_on_grid and the price grid in
-oracle.minimal_walrasian_price. A pass that masks or starts from the least
-utility reads it from _FLOOR, one entry per dtype.
+oracle.minimal_walrasian_price. stable_raises starts its masked maximum
+from the least utility of the dtype, _FLOOR.
 
 Ascending auctions only raise prices, and a new view is built from the one
 the memo returned last whenever no price fell since. Going from b to q >= b
@@ -79,24 +79,15 @@ bundles that avoid the raised items S = supp(q - b). A player whose
 demanded bundles all avoid S (the union of its demand family, the view's
 reach, is disjoint from S) therefore keeps its row at q exactly.
 
-The other rows are shifted when they can be. Each row also holds below, an
-upper bound on the utility of every bundle outside the demand family D
-(exact when the row was scanned from the value table). Let low be the least
-cost over D; every member of D contains one of D* that costs no more, so
-low is also the least cost over D*. If top - low > below, no undemanded
-bundle can reach top - low at q, while the members of D that cost low do:
-so at q the top utility is top - low, the demand family is those members,
-and D* is the members of D* that cost low, with no filter (a demanded
-bundle of cost low contains a minimal one of cost at most low, hence low).
-The members of D that cost more leave it, and below rises to the best of
-their new utilities. A row whose demand family has more than SCAN_MEMBERS
-bundles, or that fails the test, is scanned from its value table again, by
-the same code and budget checks as a full build. A row's overlaps come
-from the memo whenever its D* was met before on the market, so only a row
-whose D* changed is a different array, and the excess is the base's plus
-the change in those rows. On the benchmark's deep markets a view the
-fine auction builds redoes about a quarter of the players' rows, and
-about a third of those are scanned again.
+Every other player's row, one whose demand meets a raised item, is
+scanned from its value table again, by the same code and budget checks as
+a full build, with one bundle pricing per view that has such a row. A
+rescanned row whose D* is the base's keeps the base's overlap row itself,
+even where the memo holds no rows; otherwise its overlaps come from the
+memo whenever its D* was met before on the market. So only a row whose D*
+changed is a different array, and the excess is the base's plus the
+change in those rows. On the benchmark's deep markets a view the fine
+auction builds redoes about a quarter of the players' rows.
 """
 
 from __future__ import annotations
@@ -150,13 +141,15 @@ def _halves(m: int, dtype) -> np.ndarray:
 def _bundle_prices(m: int, prices: Prices) -> np.ndarray:
     """Every bundle's price, in the dtype _int_dtype gives m * max |p|: the
     narrowest integer one that holds every bundle price with headroom, else
-    Python integers.
+    Python integers. Every table pass prices bundles here, so this is where
+    a price vector of the wrong length is rejected.
 
     A mask is its high items above its low ones, so its price is the price
     of its high half plus that of its low half: one product with _halves(m),
     of about 2 * 2**(m/2) rows, and one broadcast add of 2**m entries. Both
     run in that dtype, and no partial sum exceeds m * max |p|.
     """
+    check_price_count(prices, m)
     top = m * max(map(abs, prices))
     dtype = _int_dtype(-top, top)
     half = _halves(m, dtype) @ np.asarray(prices, dtype=dtype)
@@ -265,15 +258,13 @@ def _minimal_members(family: np.ndarray) -> tuple[int, ...]:
 class _MarketView:
     """Demand data of one market at fixed prices, indexed by player."""
 
-    __slots__ = ("utility", "demand", "minimal", "reach", "below", "overlap",
-                 "excess")
+    __slots__ = ("utility", "demand", "minimal", "reach", "overlap", "excess")
 
-    def __init__(self, utility, demand, minimal, reach, below, overlap, excess):
+    def __init__(self, utility, demand, minimal, reach, overlap, excess):
         self.utility = utility      # best utility per player
         self.demand = demand        # demand family per player
         self.minimal = minimal      # minimal demand family D*(p) per player
         self.reach = reach          # union of the demanded bundles per player
-        self.below = below          # per player, at least every undemanded utility
         self.overlap = overlap      # per player, a uint8 row: min |D & S| over D*(p)
         self.excess = excess        # excess demand per bundle mask
 
@@ -309,9 +300,7 @@ class _Memo(NamedTuple):
 
 _memo = _Memo()
 
-# per utility dtype, a value below every utility it holds, read where a
-# pass masks or starts from the least one: _row's mask for demanded
-# bundles, so below when every bundle is demanded, and stable_raises'
+# per utility dtype, a value below every utility it holds: stable_raises'
 # initial. Python integers have no least value.
 _FLOOR = {np.dtype(t): int(np.iinfo(t).min) for t in (np.int16, np.int32, np.int64)}
 _FLOOR[np.dtype(object)] = float("-inf")
@@ -346,62 +335,21 @@ def _overlap_row(minimal: tuple[int, ...], m: int) -> np.ndarray:
 
 
 def _scan(v: Valuation, pcost: np.ndarray):
-    """v's utilities at the prices whose bundle costs are pcost, its best
-    utility, its demand family as an int64 array in mask order and its
-    minimal demand family."""
+    """v's best utility at the prices whose bundle costs are pcost, its
+    demand family as an int64 array in mask order and its minimal demand
+    family."""
     util = v.np_table - pcost
     top = int(util.max())
     hit = (util == top).nonzero()[0]
-    return util, top, hit, _minimal_members(hit)
+    return top, hit, _minimal_members(hit)
 
 
-def _row(v: Valuation, pcost: np.ndarray, overlap_of):
-    """One player's view row at the prices whose bundle costs are pcost:
-    best utility, demand family, minimal demand family, the union of its
-    demanded bundles, the best utility of an undemanded bundle and the
-    overlap row, which overlap_of gives for the minimal demand family."""
-    util, top, hit, minimal = _scan(v, pcost)
-    util[hit] = _FLOOR[util.dtype]
-    # a Python scalar from any dtype, the float floor of object rows too
-    [below] = util.max(keepdims=True).tolist()
-    return (top, tuple(hit.tolist()), minimal, int(np.bitwise_or.reduce(hit)),
-            below, overlap_of(minimal))
-
-
-def _rise_costs(bundles, rise: tuple[tuple[int, int], ...]) -> list[int]:
-    """How much more each bundle costs after a price rise given as (items,
-    amount) pairs, one per amount: amount * |T & items| summed over pairs."""
-    costs = [0] * len(bundles)
-    for items, d in rise:
-        costs = [c + d * (t & items).bit_count() for c, t in zip(costs, bundles)]
-    return costs
-
-
-def _shift(row, rise: tuple[tuple[int, int], ...], overlap_of):
-    """The row after a price rise from the row before it, or None when an
-    undemanded bundle may catch up or the family is too large to walk in
-    Python (see the module docstring)."""
-    top, family, minimal, _, below, overlap = row
-    if len(family) > SCAN_MEMBERS:
-        return None
-    costs = _rise_costs(family, rise)
-    low = min(costs)
-    if top - low <= below:
-        return None
-    if costs.count(low) == len(costs):
-        return top - low, family, minimal, row[3], below, overlap
-    kept, reach = [], 0
-    for t, c in zip(family, costs):
-        if c == low:
-            kept.append(t)
-            reach |= t
-        else:
-            below = max(below, top - c)
-    kept_minimal = tuple(t for t, c in zip(minimal, _rise_costs(minimal, rise))
-                         if c == low)
-    if kept_minimal != minimal:
-        overlap = overlap_of(kept_minimal)
-    return top - low, tuple(kept), kept_minimal, reach, below, overlap
+def _row(v: Valuation, pcost: np.ndarray):
+    """One player's view row at the prices whose bundle costs are pcost,
+    without its overlap row: best utility, demand family, minimal demand
+    family and the union of its demanded bundles."""
+    top, hit, minimal = _scan(v, pcost)
+    return top, tuple(hit.tolist()), minimal, int(np.bitwise_or.reduce(hit))
 
 
 def _market(instance: Instance, prices: Prices) -> _MarketView:
@@ -436,32 +384,28 @@ def _market(instance: Instance, prices: Prices) -> _MarketView:
                 shared[minimal] = row
         return row
 
-    shifting = base is not None and all(q >= b for q, b in zip(prices, base_prices))
-    if shifting:
+    rising = base is not None and all(q >= b for q, b in zip(prices, base_prices))
+    if rising:
         # rows whose demand avoids every raised item are the base's
-        by_amount: dict[int, int] = {}
-        for j, (q, b) in enumerate(zip(prices, base_prices)):
-            if q > b:
-                by_amount[q - b] = by_amount.get(q - b, 0) | 1 << j
-        rise = tuple((items, d) for d, items in by_amount.items())
-        rose = sum(by_amount.values())
+        rose = sum(1 << j for j, (q, b) in enumerate(zip(prices, base_prices))
+                   if q > b)
         rows = list(zip(base.utility, base.demand, base.minimal, base.reach,
-                        base.below, base.overlap))
+                        base.overlap))
         stale = [i for i, r in enumerate(base.reach) if r & rose]
     else:
         rows, stale = [None] * n, range(n)
-    pcost = None
+    pcost = _bundle_prices(m, prices) if stale else None
     for i in stale:
-        row = _shift(rows[i], rise, overlap_of) if shifting else None
-        if row is None:
-            if pcost is None:
-                pcost = _bundle_prices(m, prices)
-            row = _row(players[i], pcost, overlap_of)
-        rows[i] = row
-    utility, families, minimals, reach, below, overlap = zip(*rows)
-    if shifting:
+        top, family, minimal, reach = _row(players[i], pcost)
+        # a row rescanned to the base's minimal family keeps its overlap row
+        if rising and minimal == base.minimal[i]:
+            overlap = base.overlap[i]
+        else:
+            overlap = overlap_of(minimal)
+        rows[i] = top, family, minimal, reach, overlap
+    utility, families, minimals, reach, overlap = zip(*rows)
+    if rising:
         excess = base.excess
-        # a row rescanned to the same minimal family is the same object
         changed = [i for i in stale if overlap[i] is not base.overlap[i]]
         if changed:
             excess = excess.copy()
@@ -473,7 +417,7 @@ def _market(instance: Instance, prices: Prices) -> _MarketView:
         for row in overlap[1:]:
             excess += row
     excess.setflags(write=False)
-    view = _MarketView(utility, families, minimals, reach, below, overlap, excess)
+    view = _MarketView(utility, families, minimals, reach, overlap, excess)
     _make_room(views, size, size + len(shared) * row_size)
     views[prices] = view
     _memo = _Memo(instance, views, prices, view, shared)
@@ -523,8 +467,7 @@ def utility(v: Valuation, prices: Prices, bundle: int) -> int:
 def demand_sets(v: Valuation, prices: Prices) -> DemandReport:
     """Full and minimal demand families of one valuation, by enumeration,
     reported as player 0. Reads v's value table and holds nothing."""
-    check_price_count(prices, v.m)
-    _, top, hit, minimal = _scan(v, _bundle_prices(v.m, prices))
+    top, hit, minimal = _scan(v, _bundle_prices(v.m, prices))
     return DemandReport(0, top, tuple(hit.tolist()), minimal)
 
 

@@ -466,39 +466,39 @@ def test_fine_replays_build_few_views():
 
 def test_fine_rebuilds_only_the_rows_its_raise_meets(monkeypatch):
     # fine raises one item per step, and a view built from the one before
-    # redoes only the rows of the players whose demand meets that item;
-    # most of those rows it shifts, and only the rest rescan a value table
+    # rescans only the rows of the players whose demand meets that item
     inst = deep_style_market()
-    built, calls = set(), {"_shift": 0, "_row": 0}
-    stale = rescans = 0
-    view = demand._market
+    built, rebuilt = set(), set()
+    stale = rows = 0
+    view, row = demand._market, demand._row
 
     def counting_views(instance, prices):
-        nonlocal stale, rescans
-        built.add((id(instance), tuple(prices)))
-        before = dict(calls)
+        nonlocal stale
+        prices = tuple(prices)
+        memo = demand._memo
+        # the view returned last, at prices at or below these, is the base
+        from_lower = (memo.owner is instance and prices not in memo.views
+                      and memo.prices is not None
+                      and all(q >= b for q, b in zip(prices, memo.prices)))
+        built.add((id(instance), prices))
+        before = rows
         got = view(instance, prices)
-        # a view built from the one before tries a shift on each stale row
-        if calls["_shift"] > before["_shift"]:
-            stale += calls["_shift"] - before["_shift"]
-            rescans += calls["_row"] - before["_row"]
+        if from_lower:
+            rebuilt.add((id(instance), prices))
+            stale += rows - before
         return got
 
-    def counting(name):
-        real = getattr(demand, name)
-
-        def count(*args):
-            calls[name] += 1
-            return real(*args)
-        return count
+    def counting_rows(*args):
+        nonlocal rows
+        rows += 1
+        return row(*args)
 
     monkeypatch.setattr(demand, "_market", counting_views)
-    for name in calls:
-        monkeypatch.setattr(demand, name, counting(name))
+    monkeypatch.setattr(demand, "_row", counting_rows)
     trace = auctions.fine_auction(inst)
     assert trace.terminated and len(trace.steps) > 1000
+    assert rebuilt
     assert stale < inst.n * len(built) / 3
-    assert rescans < stale / 2
 
 
 def test_unit_step_engines_never_take_long_steps(monkeypatch):
