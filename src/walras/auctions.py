@@ -314,15 +314,18 @@ def _round_at(instance: Instance, round_steps: tuple[AuctionStep, ...],
     if now is None or first is None or now[1] != first[1]:
         return None
     q = step.price_before
-    probes = [(0, 0, 0)] + [(1 << j, x, items >> j & 1) for j, x in enumerate(q)]
+    masks = [0] + [1 << j for j in range(len(q))]
+    probes = [(0, 0)] + [(x, items >> j & 1) for j, x in enumerate(q)]
     bound = None
     for v, top, family in zip(instance.players, *now):
         c = (family[0] & items).bit_count()
         if any((s & items).bit_count() != c for s in family):
             return None
-        for mask, price, meet in probes if c else ():
+        # the probed values as Python integers, so no narrow numpy scalar
+        # meets the arithmetic below
+        for value, (price, meet) in zip(v.np_table[masks].tolist(), probes) if c else ():
             if meet < c:
-                k = 1 - (v.table[mask] - price - top) // (c - meet)
+                k = 1 - (value - price - top) // (c - meet)
                 bound = k if bound is None or k < bound else bound
     if bound is not None and bound < MIN_ROUNDS:
         return None

@@ -169,29 +169,33 @@ def _check_lemmas(instance: Instance) -> list[dict]:
         raise BudgetExceeded(f"check lemmas needs {checks} (price, player, bundle) "
                              f"checks, budget {budget}")
     for p in battery:
+        # each vector is priced once for every player: p for the scan of
+        # D*(p), which the three checks share, and p + 1_j for item j's raise
+        pcost = demand._bundle_prices(m, p)
+        raised = [demand._bundle_prices(m, add_indicator(p, 1 << j)) for j in range(m)]
         for i, v in enumerate(instance.players):
-            # D*(p) is scanned once for the three checks
-            report = demand.demand_sets(v, p)
-            for s, expected, observed in structure.utility_drop_misses(v, p, report):
+            report = demand.demand_sets(v, p, pcost=pcost)
+            for s, expected, observed in structure.utility_drop_misses(v, report, pcost):
                 findings.append({
                     "player": i, "price": prices_to_json(p, instance),
                     "kind": "utility-drop identity",
                     "bundle": instance.label_bundle(s),
                     "expected": expected, "observed": observed,
                 })
-            for j, detail in structure.transition_misses(v, p, report):
+            for j, detail in structure.transition_misses(v, raised, report):
                 findings.append({
                     "player": i, "price": prices_to_json(p, instance),
                     "kind": "unclassifiable transition",
                     "item": instance.items[j], "detail": detail,
                 })
-            for s in structure.utility_distance_misses(v, p, report):
+            for s in structure.utility_distance_misses(v, report, pcost):
                 findings.append({
                     "player": i, "price": prices_to_json(p, instance),
                     "kind": "utility distance witness missing",
                     "bundle": instance.label_bundle(s),
                 })
-        for (x, y), rep in structure.decreasing_marginal_reports(instance, p).items():
+        for (x, y), rep in structure.decreasing_marginal_reports(instance, p,
+                                                                  pcost=pcost).items():
             if not rep.ok:
                 findings.append({
                     "price": prices_to_json(p, instance),
@@ -229,7 +233,7 @@ def cmd_demo(args) -> int:
         v = ggs2.demo_not_gs_valuation()
         inst = make_instance(["a", "b", "c"], [v])
         witness = structure.check_gs_on_grid(v)
-        doubled_v = type(v)(m=v.m, table=tuple(2 * x for x in v.table))
+        doubled_v = structure.doubled(v)
         low, high = (0, 2, 4), (4, 2, 4)
         d_low = demand.demand_sets(doubled_v, low).demand
         d_high = demand.demand_sets(doubled_v, high).demand

@@ -157,11 +157,10 @@ def _bundle_prices(m: int, prices: Prices) -> np.ndarray:
     return (half[:high, None] + half[high:]).ravel()
 
 
-def _utilities(players: Sequence[Valuation], prices: Prices) -> np.ndarray:
-    """players x 2**m: each value table minus the price of every bundle,
+def _utilities(players: Sequence[Valuation], pcost: np.ndarray) -> np.ndarray:
+    """players x 2**m: each value table minus pcost, every bundle's price,
     written one row per player in the widest of the tables' and the bundle
     prices' dtypes, so in Python integers where a table or the prices are."""
-    pcost = _bundle_prices(players[0].m, prices)
     dtype = np.result_type(pcost, *{v.np_table.dtype for v in players})
     util = np.empty((len(players), len(pcost)), dtype=dtype)
     for row, v in zip(util, players):
@@ -461,13 +460,17 @@ def utility(v: Valuation, prices: Prices, bundle: int) -> int:
     """v(S) minus the price of S."""
     check_index("bundle", bundle, 1 << v.m, v.m)
     check_price_count(prices, v.m)
-    return v.table[bundle] - price_of(prices, bundle)
+    return int(v.np_table[bundle]) - price_of(prices, bundle)
 
 
-def demand_sets(v: Valuation, prices: Prices) -> DemandReport:
+def demand_sets(v: Valuation, prices: Prices, *,
+                pcost: Optional[np.ndarray] = None) -> DemandReport:
     """Full and minimal demand families of one valuation, by enumeration,
-    reported as player 0. Reads v's value table and holds nothing."""
-    top, hit, minimal = _scan(v, _bundle_prices(v.m, prices))
+    reported as player 0. Reads v's value table and holds nothing. pcost,
+    when the caller has it, is _bundle_prices at prices."""
+    if pcost is None:
+        pcost = _bundle_prices(v.m, prices)
+    top, hit, minimal = _scan(v, pcost)
     return DemandReport(0, top, tuple(hit.tolist()), minimal)
 
 
@@ -550,7 +553,7 @@ def stable_raises(instance: Instance, prices: Prices, raised: int,
     if not any(held):
         return None
     meet = _popcounts(instance.m)[_masks(instance.m) & raised]
-    util = _utilities(instance.players, prices)
+    util = _utilities(instance.players, _bundle_prices(instance.m, prices))
     top = np.array(tops, dtype=util.dtype)
     over = np.array(held, dtype=np.int64)
     # every level up to |R| has bundles, so the initial never survives
@@ -577,7 +580,7 @@ def demand_families(instance: Instance, prices: Prices) -> tuple[tuple[int, ...]
     Reads no view and stores none, so it checks the views independently:
     the auction loop uses it to confirm the last prices of a replay.
     """
-    util = _utilities(instance.players, prices)
+    util = _utilities(instance.players, _bundle_prices(instance.m, prices))
     hit = util == util.max(axis=1, keepdims=True)
     # one nonzero pass over all players, row-major, split at each row's end
     members = hit.nonzero()[1].tolist()
@@ -585,21 +588,27 @@ def demand_families(instance: Instance, prices: Prices) -> tuple[tuple[int, ...]
     return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
 
-def utilities_after_raise(players: Sequence[Valuation], prices: Prices) -> np.ndarray:
+def utilities_after_raise(players: Sequence[Valuation], prices: Prices, *,
+                          pcost: Optional[np.ndarray] = None) -> np.ndarray:
     """players x 2**m: each player's best utility at p + 1_S for every
-    bundle S, max over T of u(T) - |S & T|, by one sweep."""
-    return _raise_sweep(_utilities(players, prices), [(0, -1)] * len(prices))
+    bundle S, max over T of u(T) - |S & T|, by one sweep. pcost, when the
+    caller has it, is _bundle_prices at prices."""
+    if pcost is None:
+        pcost = _bundle_prices(players[0].m, prices)
+    return _raise_sweep(_utilities(players, pcost), [(0, -1)] * len(prices))
 
 
-def lyapunov_after_raise(instance: Instance, prices: Prices) -> np.ndarray:
+def lyapunov_after_raise(instance: Instance, prices: Prices, *,
+                         pcost: Optional[np.ndarray] = None) -> np.ndarray:
     """L(p + 1_S) for every bundle S, by one sweep: the players' best
     utilities at p + 1_S plus |S| + sum(p), in that order. Each utility lies
     between its empty-bundle value and vmax less the least bundle price;
     the sum over players is in int64 whatever the utilities' dtype, and in
-    Python integers when n such bounds may leave int64."""
+    Python integers when n such bounds may leave int64. pcost is as for
+    utilities_after_raise."""
     prices = tuple(prices)
-    util = utilities_after_raise(instance.players, prices)
-    bound = max(abs(instance.vmax), *(abs(v.table[0]) for v in instance.players))
+    util = utilities_after_raise(instance.players, prices, pcost=pcost)
+    bound = max(abs(instance.vmax), *(abs(int(v.np_table[0])) for v in instance.players))
     bound = instance.n * (bound + instance.m * max(0, -min(prices)))
     if _int_dtype(-bound, bound) is object:
         util = util.astype(object)

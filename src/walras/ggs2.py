@@ -65,12 +65,13 @@ def common_cap(instance: Instance) -> Optional[int]:
         return None
     cap = None
     for i, v in enumerate(instance.players):
-        mine = v.table[(1 << instance.m) - 1]
+        table = v.np_table.tolist()
+        mine = table[-1]
         for s in range(1 << instance.m):
             size = popcount(s)
-            if size >= 2 and v.table[s] != mine:
+            if size >= 2 and table[s] != mine:
                 raise NotGgs2Instance(f"player {i}: multi-item values vary")
-            if size == 1 and v.table[s] > mine:
+            if size == 1 and table[s] > mine:
                 raise NotGgs2Instance(f"player {i}: singleton above the cap")
         if cap is None:
             cap = mine

@@ -2,10 +2,12 @@
 
 The universe is a list of item labels; bundles are bitmasks over item
 indices, so an instance with m items has exactly 2**m bundles and every
-valuation is stored as an explicit table of 2**m nonnegative integers.
-Everything downstream (demand oracles, auctions, brute-force certifiers)
-enumerates these tables exhaustively, which is why m is capped at 20 and
-values are kept at desk scale.
+valuation is an explicit table of 2**m nonnegative integers, stored as one
+array: Valuation.np_table, read-only, in the dtype _int_dtype gives its
+entries. Valuation.table reads it out as a fresh tuple of Python integers
+and keeps nothing. Everything downstream (demand oracles, auctions,
+brute-force certifiers) enumerates these tables exhaustively, which is why
+m is capped at 20 and values are kept at desk scale.
 
 All values and prices are integers. Rational inputs are rejected rather
 than scaled.
@@ -13,21 +15,25 @@ than scaled.
 Building a valuation checks it as it loads. make_table checks the
 table's length and the type of every entry (int, not bool); the
 additive and unit-demand constructors fill their tables by doubling;
-make_truncation fills its table and checks it monotone and submodular;
-and instance_from_json also runs validate on every player: zero on the
-empty bundle, every value in 0..vmax, and no value drop along a one-item
-step. The checks make no Python call per entry: the type check is one
-pass over the entries' types, the range check a min and a max, and the
-monotonicity scan a numpy pass from ARRAY_SCAN_MIN (2**6) entries. The
-unit-demand fill is a numpy pass from ARRAY_FILL_MIN (2**10) entries;
-the additive and truncation fills stay list loops. Below those sizes
-numpy's fixed cost per call is the larger one. The numpy passes and
-np_table take one dtype rule, _int_dtype: the narrowest of int16, int32
-and int64 whose values stay within 2**13, 2**29 or 2**61 of zero, so the
-sum or difference of two of them is exact, and Python integers past
-2**61. Every benchmark and CLI value table fits int16.
-Reading a JSON table player still parses and checks its bundle keys one
-at a time.
+make_truncation fills its array from the base's and checks it monotone
+and submodular; and instance_from_json also runs validate on every player:
+zero on the empty bundle, every value in 0..vmax, and no value drop along
+a one-item step. The checks make no Python call per entry: the type check
+is one pass over the entries' types, the range check a min and a max, and
+the monotonicity scan a numpy pass from ARRAY_SCAN_MIN (2**6) entries.
+The unit-demand fill is a numpy pass from ARRAY_FILL_MIN (2**10) entries;
+the additive fill stays a list loop. Below those sizes numpy's fixed cost
+per call is the larger one. The array and every numpy pass take one dtype
+rule, _int_dtype: the narrowest of int16, int32 and int64 whose values
+stay within 2**13, 2**29 or 2**61 of zero, so the sum or difference of
+two of them is exact, and Python integers past 2**61. From ARRAY_SCAN_MIN
+entries the dtype is read off one int64 conversion, below that by Python's
+min and max. Every benchmark and CLI value table fits int16.
+Reading a JSON table player looks each key up in a map from every sorted
+key to its mask, built once per item list, and writes the values into the
+array; a player with a key that is not its labels sorted, a missing bundle
+or a bad value is read one key at a time, so every error names the first
+bad key in order.
 
 The error types shared by every module live here too, with the two
 enumeration budgets: DEFAULT_OP_BUDGET in steps, entries or nodes, and
@@ -131,42 +137,72 @@ class TruncationSpec:
     cap: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, slots=True)
 class Valuation:
-    """Monotone integer valuation over bundles of m items, stored as a full table.
+    """Monotone integer valuation over bundles of m items, stored as one array.
 
     Attributes:
         m: number of items in the universe.
-        table: value per bundle mask, length 2**m, table[0] is the empty bundle.
+        np_table: value per bundle mask, length 2**m, np_table[0] is the
+            empty bundle: a read-only array in the dtype _int_dtype gives
+            its entries, object (Python integers) past 2**61.
         class_tag: construction class, one of "table", "additive",
             "unit_demand", "truncation".
         singletons: per-item values for additive and unit-demand valuations.
         trunc: construction recipe for truncations.
+
+    Valuation(m=..., table=...) takes the entries as a sequence of integers
+    or as an array: an array that owns its data becomes the store and is
+    made read-only, a view of one is copied. Two valuations are equal, and
+    hash alike, when their fields and their entries are equal, whatever the
+    arrays' dtypes.
     """
     m: int
-    table: tuple[int, ...]
+    np_table: np.ndarray
     class_tag: str = "table"
     singletons: Optional[tuple[int, ...]] = None
     trunc: Optional[TruncationSpec] = None
 
+    def __init__(self, m: int, table, class_tag: str = "table",
+                 singletons: Optional[tuple[int, ...]] = None,
+                 trunc: Optional[TruncationSpec] = None):
+        arr = _int_array(table)
+        if arr is table:
+            arr = arr.astype(_int_dtype(arr.min(), arr.max()), copy=arr.base is not None)
+        arr.setflags(write=False)
+        put = object.__setattr__
+        put(self, "m", m)
+        put(self, "np_table", arr)
+        put(self, "class_tag", class_tag)
+        put(self, "singletons", singletons)
+        put(self, "trunc", trunc)
+
+    @property
+    def table(self) -> tuple[int, ...]:
+        """The entries as Python integers: a fresh tuple on every read, never
+        kept, since a kept one would hold 8 bytes of pointer per entry beside
+        the array's 2 or 4."""
+        return tuple(self.np_table.tolist())
+
     @property
     def vmax(self) -> int:
-        return max(self.table)
+        return int(self.np_table.max())
 
-    @cached_property
-    def np_table(self):
-        # the narrowest dtype _int_dtype allows, read off an int64 copy, else
-        # (or on overflow) Python integers
+    def __eq__(self, other):
+        if not isinstance(other, Valuation):
+            return NotImplemented
+        return (self.m == other.m and self.class_tag == other.class_tag
+                and self.singletons == other.singletons and self.trunc == other.trunc
+                and np.array_equal(self.np_table, other.np_table))
+
+    def __hash__(self):
+        # the entries as int64 bytes, the same for every dtype that holds
+        # them, else (past int64, where only object holds them) Python ints
         try:
-            arr = np.asarray(self.table, dtype=np.int64)
-            dtype = _int_dtype(arr.min(), arr.max())
-            if dtype is object:
-                raise OverflowError
-            arr = arr.astype(dtype, copy=False)
+            entries = self.np_table.astype(np.int64, copy=False).tobytes()
         except OverflowError:
-            arr = np.asarray(self.table, dtype=object)
-        arr.setflags(write=False)
-        return arr
+            entries = tuple(self.np_table.tolist())
+        return hash((self.m, entries, self.class_tag, self.singletons, self.trunc))
 
 
 @dataclass(frozen=True)
@@ -208,8 +244,20 @@ def _int_dtype(lo: int, hi: int):
     return object
 
 
-def _int_array(table: Sequence[int]) -> np.ndarray:
-    return np.asarray(table, dtype=_int_dtype(min(table), max(table)))
+def _int_array(table) -> np.ndarray:
+    """table as an array in the dtype _int_dtype gives its entries; an
+    ndarray passes through unchanged. From ARRAY_SCAN_MIN entries the dtype
+    is read off one int64 conversion by numpy's min and max, and a table
+    past int64 is converted again as Python integers."""
+    if isinstance(table, np.ndarray):
+        return table
+    if len(table) < ARRAY_SCAN_MIN:
+        return np.array(table, dtype=_int_dtype(min(table), max(table)))
+    try:
+        arr = np.fromiter(table, dtype=np.int64, count=len(table))
+    except OverflowError:
+        return np.array(table, dtype=object)
+    return arr.astype(_int_dtype(arr.min(), arr.max()), copy=False)
 
 
 def _first_non_int(values: Sequence) -> Optional[int]:
@@ -222,15 +270,13 @@ def _first_non_int(values: Sequence) -> Optional[int]:
     return min(map(types.index, rejected))
 
 
-def _check_table_shape(m: int, table: Sequence[int]) -> tuple[int, ...]:
+def _check_table_shape(m: int, table: Sequence[int]) -> None:
     _check_item_count(m)
     if len(table) != 1 << m:
         raise ModelError(f"table must have {1 << m} entries, got {len(table)}")
-    table = tuple(table)
     bad = _first_non_int(table)
     if bad is not None:
         _require_int(table[bad], "valuation value")
-    return table
 
 
 def make_table(m: int, table: Sequence[int]) -> Valuation:
@@ -240,12 +286,16 @@ def make_table(m: int, table: Sequence[int]) -> Valuation:
     monotonicity, nonnegativity); use validate() to report those. Structural
     impossibilities (wrong length, non-integers, m out of range) raise.
     """
-    return Valuation(m=m, table=_check_table_shape(m, table))
+    _check_table_shape(m, table)
+    return Valuation(m=m, table=table)
 
 
 def _check_singletons(singletons: Sequence[int]) -> tuple[int, ...]:
-    vals = tuple(_require_int(x, "item value") for x in singletons)
-    if any(x < 0 for x in vals):
+    vals = tuple(singletons)
+    bad = _first_non_int(vals)
+    if bad is not None:
+        _require_int(vals[bad], "item value")
+    if vals and min(vals) < 0:
         raise ModelError("item values must be nonnegative")
     _check_item_count(len(vals))
     return vals
@@ -259,7 +309,7 @@ def make_additive(singletons: Sequence[int]) -> Valuation:
     table = [0]
     for x in vals:
         table += [t + x for t in table]
-    return Valuation(m=len(vals), table=tuple(table), class_tag="additive",
+    return Valuation(m=len(vals), table=table, class_tag="additive",
                      singletons=vals)
 
 
@@ -272,12 +322,12 @@ def make_unit_demand(singletons: Sequence[int]) -> Valuation:
         arr = np.zeros(1 << m, dtype=_int_dtype(0, max(vals)))
         for j, x in enumerate(vals):
             np.maximum(arr[:1 << j], x, out=arr[1 << j:2 << j])
-        table = arr.tolist()
+        table = arr
     else:
         table = [0]
         for x in vals:
             table += [t if t > x else x for t in table]
-    return Valuation(m=m, table=tuple(table), class_tag="unit_demand",
+    return Valuation(m=m, table=table, class_tag="unit_demand",
                      singletons=vals)
 
 
@@ -286,6 +336,8 @@ def first_monotonicity_violation(table: Sequence[int], m: int) -> Optional[tuple
     order, or None when the table is monotone."""
     # one-item steps suffice: monotone along edges implies monotone on chains
     if len(table) < ARRAY_SCAN_MIN:
+        if isinstance(table, np.ndarray):
+            table = table.tolist()
         for mask in range(1 << m):
             for j in range(m):
                 if mask & (1 << j):
@@ -310,15 +362,19 @@ def first_monotonicity_violation(table: Sequence[int], m: int) -> Optional[tuple
 
 
 def is_submodular(table: Sequence[int], m: int) -> bool:
-    # local characterization: v(S+x) + v(S+y) >= v(S+x+y) + v(S), one
-    # comparison per item pair over every S, on the table as a 2 x ... x 2
-    # array whose first m axes are the items (the last one keeps the
-    # compared slices arrays when m = 2)
+    # local characterization: v(S+x) + v(S+y) >= v(S+x+y) + v(S) for every
+    # item pair x, y and S without them, that is, x's marginal value does not
+    # rise when y joins S. On the table as a 2 x ... x 2 array whose first m
+    # axes are the items (the last one keeps the compared slices arrays when
+    # m = 2), one subtraction per item x gives its marginal values, and one
+    # comparison per later axis y checks them
     t = _int_array(table).reshape((2,) * m + (1,))
-    for a in range(m):
-        for b in range(a + 1, m):
-            v = t.swapaxes(0, a).swapaxes(1, b)
-            if (v[1, 1] + v[0, 0] > v[1, 0] + v[0, 1]).any():
+    for x in range(m - 1):
+        at = (slice(None),) * x
+        marginal = t[at + (1,)] - t[at + (0,)]
+        for y in range(x, m - 1):
+            at = (slice(None),) * y
+            if (marginal[at + (1,)] > marginal[at + (0,)]).any():
                 return False
     return True
 
@@ -337,10 +393,15 @@ def make_truncation(base: Valuation, k: int, cap: int) -> Valuation:
         raise ModelError(f"truncation size must be in 1..{base.m + 1}, got {k}")
     if cap < 0:
         raise ModelError("truncation cap must be nonnegative")
-    table = tuple(
-        base.table[mask] if popcount(mask) < k else cap
-        for mask in range(1 << base.m)
-    )
+    # the kept entries and the cap in the dtype they take together; every
+    # table keeps its empty bundle, and k = m + 1 clamps none
+    keep = np.bitwise_count(np.arange(1 << base.m)) < k
+    kept = base.np_table[keep]
+    ends = [int(kept.min()), int(kept.max())] + ([cap] if k <= base.m else [])
+    table = np.empty(1 << base.m, dtype=_int_dtype(min(ends), max(ends)))
+    table[keep] = kept
+    if k <= base.m:
+        table[~keep] = cap
     bad = first_monotonicity_violation(table, base.m)
     if bad is not None:
         raise TruncationBoundsViolated(
@@ -360,14 +421,14 @@ def validate(v: Valuation, vmax: int = DEFAULT_VMAX) -> Optional[Violation]:
     Never raises on semantic violations; the report carries the offending
     bundle masks so callers can show labels.
     """
-    if v.table[0] != 0:
+    t = v.np_table
+    if t[0] != 0:
         return Violation("empty set nonzero", (0,))
-    if min(v.table) < 0 or v.vmax > vmax:
-        t = _int_array(v.table)
+    if t.min() < 0 or t.max() > vmax:
         mask = int(((t < 0) | (t > vmax)).argmax())
-        kind = "negative value" if v.table[mask] < 0 else "value above cap"
+        kind = "negative value" if t[mask] < 0 else "value above cap"
         return Violation(kind, (mask,))
-    bad = first_monotonicity_violation(v.table, v.m)
+    bad = first_monotonicity_violation(t, v.m)
     if bad is not None:
         return Violation("not monotone", bad)
     return None
@@ -419,8 +480,8 @@ class Instance:
     def n(self) -> int:
         return len(self.players)
 
-    # cached here rather than per valuation: a second cached attribute
-    # next to np_table would cost each valuation an unshared __dict__
+    # cached here rather than per valuation: a valuation's slots hold its
+    # fields and its one array, with no __dict__ for a cached value
     @cached_property
     def vmax(self) -> int:
         return max(v.vmax for v in self.players)
@@ -484,8 +545,54 @@ def _singleton_values(obj: Mapping, items: Sequence[str], what: str) -> list[int
     return out
 
 
+def _mask_keys(items: Sequence[str]) -> list[str]:
+    """Every bundle's key, its labels sorted and joined by commas, in mask
+    order. Built by doubling over the labels in sorted order: each label
+    joins every key of labels before it at the end, which keeps it sorted."""
+    keys, masks = [""], [0]
+    for label, j in sorted((label, j) for j, label in enumerate(items)):
+        keys += [f"{key},{label}" if key else label for key in keys]
+        masks += [s | 1 << j for s in masks]
+    return [keys[i] for i in np.argsort(masks).tolist()]
+
+
+def _table_from_json(values: Mapping, items: Sequence[str], index: Mapping[str, int],
+                     masks_by_key: Mapping[str, int]) -> Valuation:
+    """A table player's values, put into its array by looking each key up
+    in masks_by_key, its values' types checked in one pass. A document with
+    a key that is not its labels sorted, a missing bundle or a bad value is
+    read one key at a time instead, each key by _parse_bundle_key, so any
+    error names the first bad key in order."""
+    m = len(items)
+    # the sorted keys are all distinct, so masks that all hit are distinct too
+    masks = list(map(masks_by_key.get, values))
+    entries = list(values.values())
+    if None in masks or len(masks) < 1 << m or _first_non_int(entries) is not None:
+        return _table_by_keys(values, items, index)
+    arr = _int_array(entries)
+    table = np.empty_like(arr)
+    table[masks] = arr
+    return Valuation(m=m, table=table)
+
+
+def _table_by_keys(values: Mapping, items: Sequence[str], index: Mapping[str, int]) -> Valuation:
+    table = [None] * (1 << len(items))
+    for key, x in values.items():
+        mask = _parse_bundle_key(key, index)
+        if table[mask] is not None:
+            raise ModelError(f"bundle key {key!r} repeats an earlier bundle")
+        table[mask] = _require_int(x, f"value of bundle {key!r}")
+    missing = [mask for mask, x in enumerate(table) if x is None]
+    if missing:
+        raise ModelError(
+            f"table player is missing {len(missing)} bundles, "
+            f"first {_bundle_key(items, missing[0])!r}"
+        )
+    return make_table(len(items), table)
+
+
 def _player_from_json(obj, items: Sequence[str], index: Mapping[str, int],
-                      depth: int = 0) -> Valuation:
+                      masks_by_key: dict, depth: int = 0) -> Valuation:
     if not isinstance(obj, dict):
         raise ModelError("player must be a JSON object")
     kind = obj.get("type")
@@ -493,20 +600,9 @@ def _player_from_json(obj, items: Sequence[str], index: Mapping[str, int],
         values = obj.get("values")
         if not isinstance(values, dict):
             raise ModelError("table player needs a 'values' map")
-        m = len(items)
-        table = [None] * (1 << m)
-        for key, x in values.items():
-            mask = _parse_bundle_key(key, index)
-            if table[mask] is not None:
-                raise ModelError(f"bundle key {key!r} repeats an earlier bundle")
-            table[mask] = _require_int(x, f"value of bundle {key!r}")
-        missing = [mask for mask, x in enumerate(table) if x is None]
-        if missing:
-            raise ModelError(
-                f"table player is missing {len(missing)} bundles, "
-                f"first {_bundle_key(items, missing[0])!r}"
-            )
-        return make_table(m, table)
+        if not masks_by_key:     # once per item list, at its first table player
+            masks_by_key.update(zip(_mask_keys(items), range(1 << len(items))))
+        return _table_from_json(values, items, index, masks_by_key)
     if kind == "unit_demand":
         return make_unit_demand(_singleton_values(obj, items, "unit_demand"))
     if kind == "additive":
@@ -520,12 +616,12 @@ def _player_from_json(obj, items: Sequence[str], index: Mapping[str, int],
         # of the valuation inside the stack limit
         if depth > len(items):
             raise ModelError(f"truncation chain deeper than {len(items) + 1} levels")
-        base = _player_from_json(obj["base"], items, index, depth + 1)
+        base = _player_from_json(obj["base"], items, index, masks_by_key, depth + 1)
         return make_truncation(base, _require_int(obj["k"], "k"), _require_int(obj["M"], "M"))
     raise ModelError(f"unknown player type {kind!r}")
 
 
-def _player_to_json(v: Valuation, items: Sequence[str]) -> dict:
+def _player_to_json(v: Valuation, items: Sequence[str], keys: list) -> dict:
     if v.class_tag in ("additive", "unit_demand"):
         return {
             "type": v.class_tag,
@@ -536,14 +632,11 @@ def _player_to_json(v: Valuation, items: Sequence[str]) -> dict:
             "type": "truncation",
             "k": v.trunc.k,
             "M": v.trunc.cap,
-            "base": _player_to_json(v.trunc.base, items),
+            "base": _player_to_json(v.trunc.base, items, keys),
         }
-    return {
-        "type": "table",
-        "values": {
-            _bundle_key(items, mask): v.table[mask] for mask in range(1 << v.m)
-        },
-    }
+    if not keys:        # once per item list, at its first table player
+        keys += _mask_keys(items)
+    return {"type": "table", "values": dict(zip(keys, v.np_table.tolist()))}
 
 
 def _loads(text: Union[str, bytes], what: str):
@@ -579,7 +672,8 @@ def instance_from_json(text: Union[str, bytes], vmax: int = DEFAULT_VMAX) -> Ins
     if n << len(items) > DEFAULT_OP_BUDGET:
         raise ModelError(f"{n} players over {len(items)} items need "
                          f"{n << len(items)} table entries, bound {DEFAULT_OP_BUDGET}")
-    players = [_player_from_json(p, items, index) for p in obj["players"]]
+    masks_by_key: dict[str, int] = {}
+    players = [_player_from_json(p, items, index, masks_by_key) for p in obj["players"]]
     instance = make_instance(items, players)
     for i, v in enumerate(instance.players):
         bad = validate(v, vmax=vmax)
@@ -590,9 +684,10 @@ def instance_from_json(text: Union[str, bytes], vmax: int = DEFAULT_VMAX) -> Ins
 
 
 def instance_to_json(instance: Instance) -> str:
+    keys: list[str] = []
     obj = {
         "items": list(instance.items),
-        "players": [_player_to_json(v, instance.items) for v in instance.players],
+        "players": [_player_to_json(v, instance.items, keys) for v in instance.players],
     }
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 

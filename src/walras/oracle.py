@@ -92,10 +92,11 @@ def _welfare(instance: Instance) -> WelfareResult:
     alloc = []
     remaining = full
     for i, v in enumerate(instance.players):
+        table = v.np_table.tolist()
         after = suffix[i + 1]
         target = suffix[i][remaining]
         s = 0
-        while v.table[s] + after[remaining ^ s] != target:
+        while table[s] + after[remaining ^ s] != target:
             if s == remaining:
                 raise InvariantViolation(f"player {i}: no bundle keeps the optimum")
             s = (s - remaining) & remaining
@@ -112,13 +113,14 @@ def _suffix_tables(instance: Instance):
     m = instance.m
     tables = [[0] * (1 << m)]
     for v in reversed(instance.players):
+        table = v.np_table.tolist()
         prev = tables[0]
         cur = [0] * (1 << m)
         for mask in range(1 << m):
-            top = v.table[0] + prev[mask]
+            top = table[0] + prev[mask]
             s = mask
             while s:
-                cand = v.table[s] + prev[mask ^ s]
+                cand = table[s] + prev[mask ^ s]
                 if cand > top:
                     top = cand
                 s = (s - 1) & mask
@@ -257,9 +259,9 @@ def _coordinate_bounds(instance: Instance) -> list[int]:
     # Submodular valuations never demand an item priced above its best
     # singleton value, so a Walrasian price either clears it at 0 or sits
     # below that value. Only sound under submodularity.
-    if all(is_submodular(v.table, v.m) for v in instance.players):
-        return [max(v.table[1 << j] for v in instance.players)
-                for j in range(instance.m)]
+    if all(is_submodular(v.np_table, v.m) for v in instance.players):
+        singletons = [1 << j for j in range(instance.m)]
+        return np.max([v.np_table[singletons] for v in instance.players], axis=0).tolist()
     return [instance.vmax] * instance.m
 
 

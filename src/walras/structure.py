@@ -52,11 +52,18 @@ class GsWitness:
     violated_item: Optional[int]
 
 
+def doubled(v: Valuation) -> Valuation:
+    """v with every value doubled, the valuation whose demand the
+    doubled-price grid reads; twice an entry is formed in int64 or Python
+    integers, past the headroom of a narrower table."""
+    return Valuation(m=v.m, table=v.np_table.astype(np.result_type(v.np_table, np.int64)) * 2)
+
+
 def gs_witness_holds(v: Valuation, witness: GsWitness) -> bool:
     """Verify a witness directly against the doubled valuation."""
-    doubled = Valuation(m=v.m, table=tuple(2 * x for x in v.table))
-    low = demand.demand_sets(doubled, witness.price_low).demand
-    high = demand.demand_sets(doubled, witness.price_high).demand
+    twice = doubled(v)
+    low = demand.demand_sets(twice, witness.price_low).demand
+    high = demand.demand_sets(twice, witness.price_high).demand
     if witness.bundle not in low:
         return False
     if not dominated(witness.price_low, witness.price_high):
@@ -95,11 +102,11 @@ def check_gs_on_grid(v: Valuation) -> Optional[GsWitness]:
         raise BudgetExceeded(f"grid scan holds {points << m} entries, budget {budget}")
     # int64 (or Python integers): the grid prices subtract up to m times
     # radix from twice the table, past any narrower table's headroom
-    doubled = v.np_table.astype(np.result_type(v.np_table, np.int64)) * 2
+    twice = v.np_table.astype(np.result_type(v.np_table, np.int64)) * 2
 
     masks = demand._masks(m)
     # demanded[p + (S,)]: bundle S is demanded at grid price p
-    util = np.broadcast_to(doubled, (radix,) * m + (1 << m,)).copy()
+    util = np.broadcast_to(twice, (radix,) * m + (1 << m,)).copy()
     for j, x in enumerate(np.ix_(*[np.arange(radix)] * m)):
         util -= x[..., None] * (masks >> j & 1)
     demanded = util == util.max(axis=-1, keepdims=True)
@@ -199,32 +206,30 @@ def classify_transition(v: Valuation, prices: Prices, item: int) -> TransitionRe
     which cannot happen on substitutes input.
     """
     check_index("item", item, v.m, v.m)
-    prices = tuple(prices)
     before = demand.demand_sets(v, prices).minimal_demand
-    return _classify(v, prices, before, item)
+    after = demand.demand_sets(v, add_indicator(prices, 1 << item)).minimal_demand
+    return _classify(before, after, item)
 
 
-def transition_misses(v: Valuation, prices: Prices,
+def transition_misses(v: Valuation, raised: Sequence[np.ndarray],
                       report: demand.DemandReport) -> list[tuple[int, str]]:
     """(item, detail) for every item, in order, whose unit raise
     classify_transition rejects, with its exception's message. report is
-    demand_sets(v, prices): D*(p) comes from it for all m items, and each
-    raise is one scan."""
-    prices = tuple(prices)
+    demand_sets(v, p): D*(p) comes from it for all m items. raised[j] is
+    demand._bundle_prices at p + 1_j, and each raise is one scan."""
     misses = []
-    for item in range(v.m):
+    for item, pcost in enumerate(raised):
         try:
-            _classify(v, prices, report.minimal_demand, item)
+            _classify(report.minimal_demand, demand._scan(v, pcost)[2], item)
         except UnclassifiableTransition as exc:
             misses.append((item, str(exc)))
     return misses
 
 
-def _classify(v: Valuation, prices: Prices, before: tuple[int, ...],
+def _classify(before: tuple[int, ...], after: tuple[int, ...],
               item: int) -> TransitionReport:
-    """classify_transition with D*(prices), before, already scanned."""
+    """classify_transition from D* before and after the raise of item."""
     bit = 1 << item
-    after = demand.demand_sets(v, add_indicator(prices, bit)).minimal_demand
     if any(not b & bit for b in before):
         expect = tuple(b for b in before if not b & bit)
         if after == expect:
@@ -286,14 +291,15 @@ def check_utility_distance(v: Valuation, prices: Prices, bundle: int) -> Utility
     return UtilityDistanceReport(gap=gap, demanded=None, ok=False)
 
 
-def utility_drop_misses(v: Valuation, prices: Prices,
-                        report: demand.DemandReport) -> list[tuple[int, int, int]]:
+def utility_drop_misses(v: Valuation, report: demand.DemandReport,
+                        pcost: np.ndarray) -> list[tuple[int, int, int]]:
     """(bundle, expected, observed) for every nonempty bundle S whose unit
     raise p + 1_S does not lower v's best utility by min |D & S| over D in
     D*(p), the utility-drop identity, in mask order: the best utilities
     after every raise against top minus the overlap row, as one array.
-    report is demand_sets(v, prices), which gives top and D*(p)."""
-    observed = demand.utilities_after_raise((v,), prices)[0]
+    report is demand_sets(v, p), which gives top and D*(p), and pcost
+    demand._bundle_prices at p."""
+    observed = demand._raise_sweep(demand._utilities((v,), pcost), [(0, -1)] * v.m)[0]
     overlap = demand._overlap_row(report.minimal_demand, v.m)
     # in the utilities' dtype: top minus a uint8 row would wrap
     expected = report.utility - overlap.astype(observed.dtype)
@@ -301,15 +307,16 @@ def utility_drop_misses(v: Valuation, prices: Prices,
             for s in (observed != expected).nonzero()[0].tolist() if s]
 
 
-def utility_distance_misses(v: Valuation, prices: Prices,
-                            report: demand.DemandReport) -> list[int]:
+def utility_distance_misses(v: Valuation, report: demand.DemandReport,
+                            pcost: np.ndarray) -> list[int]:
     """Every bundle, in mask order, for which check_utility_distance finds
     no witness, compared for all bundles as one array: the fewest extra
     items over D*(p), min |D & ~S|, is the overlap row at the complement
     of S, and a miss is one that exceeds the utility gap. report is
-    demand_sets(v, prices), which gives the best utility and D*(p)."""
+    demand_sets(v, p), which gives the best utility and D*(p), and pcost
+    demand._bundle_prices at p."""
     extra = demand._overlap_row(report.minimal_demand, v.m)[::-1]
-    gap = report.utility - demand._utilities((v,), prices)[0]
+    gap = report.utility - demand._utilities((v,), pcost)[0]
     return (extra > gap).nonzero()[0].tolist()
 
 
@@ -320,11 +327,13 @@ class MarginalReport:
     ok: bool
 
 
-def decreasing_marginal_reports(instance: Instance, prices: Prices
+def decreasing_marginal_reports(instance: Instance, prices: Prices, *,
+                                pcost: Optional[np.ndarray] = None
                                 ) -> dict[tuple[int, int], MarginalReport]:
     """Lyapunov submodularity across every pair of items x < y:
-    L(p+1x) + L(p+1y) >= L(p+1x+1y) + L(p), all values from one sweep."""
-    after = demand.lyapunov_after_raise(instance, prices)
+    L(p+1x) + L(p+1y) >= L(p+1x+1y) + L(p), all values from one sweep.
+    pcost, when the caller has it, is demand._bundle_prices at prices."""
+    after = demand.lyapunov_after_raise(instance, prices, pcost=pcost)
     reports = {}
     for x in range(instance.m):
         for y in range(x + 1, instance.m):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import walras
-from walras import auctions, cli, demand, model, structure
+from walras import auctions, cli, demand, ggs2, model, oracle, structure
 from walras.model import make_instance, make_truncation, make_unit_demand, popcount
 
 import conftest
@@ -396,23 +396,72 @@ def test_check_lemmas_scans_each_valuation_a_few_times_per_price(
         capsys, tmp_path, monkeypatch):
     # one scan at p, shared by the utility-drop identity, the transitions
     # and the utility distance, and one per item at its raise: none per
-    # bundle
+    # bundle; and each battery vector and its m unit raises priced once for
+    # all players, both counted from the end of the battery's own gs run
     rng = random.Random(6)
     inst = make_instance(list("abcdef"),
                          [conftest.random_gs_valuation(rng, 6) for _ in range(3)])
     path = write_instance(tmp_path, inst, "six.json")
-    scans = 0
-    real = demand.demand_sets
+    prices = len(cli._price_battery(inst))
+    calls = {"scans": 0, "priced": 0}
+    real_scan, real_prices, real_battery = demand._scan, demand._bundle_prices, cli._price_battery
 
-    def counting(v, prices):
-        nonlocal scans
-        scans += 1
-        return real(v, prices)
+    def scanning(v, pcost):
+        calls["scans"] += 1
+        return real_scan(v, pcost)
 
-    monkeypatch.setattr(demand, "demand_sets", counting)
+    def pricing(m, prices):
+        calls["priced"] += 1
+        return real_prices(m, prices)
+
+    def battery(instance):
+        out = real_battery(instance)
+        calls.update(scans=0, priced=0)
+        return out
+
+    monkeypatch.setattr(demand, "_scan", scanning)
+    monkeypatch.setattr(demand, "_bundle_prices", pricing)
+    monkeypatch.setattr(cli, "_price_battery", battery)
     code, payload = run_cli(capsys, "check", "lemmas", "--instance", path)
     assert code == 0 and payload["ok"]
-    assert 0 < scans <= len(cli._price_battery(inst)) * inst.n * (inst.m + 1)
+    assert 0 < calls["scans"] <= prices * inst.n * (inst.m + 1)
+    assert 0 < calls["priced"] <= prices * (inst.m + 1)
+
+
+def test_no_engine_oracle_or_check_reads_the_table_tuple(capsys, tmp_path, monkeypatch):
+    # with Valuation.table refusing every read, each engine, oracle and
+    # check gives what it gave before, through the JSON writer and loader:
+    # no path in the package reads the tuple the property builds
+    gs_market = make_instance(list("abcd"), [conftest.random_gs_valuation(random.Random(i), 4)
+                                             for i in range(3)])
+    pair_market = conftest.random_ggs2_instance(random.Random(2), max_m=4)
+
+    def outcomes():
+        got = {name: auctions.trace_to_json(engine(gs_market), gs_market)
+               for name, engine in (("gs", auctions.gul_stacchetti),
+                                    ("fine", auctions.fine_auction),
+                                    ("ausubel", auctions.ausubel_ascending))}
+        oracle.max_welfare.cache_clear()
+        got["welfare"] = oracle.max_welfare(gs_market)
+        got["minimal"] = oracle.minimal_walrasian_price(gs_market)
+        trace, cert = ggs2.ggs2_auction(pair_market)
+        got["ggs2"] = (auctions.trace_to_json(trace, pair_market),
+                       ggs2.certificate_to_json(cert, pair_market))
+        for name, inst in (("gs", gs_market), ("pair", pair_market)):
+            path = write_instance(tmp_path, inst, f"{name}.json")
+            for what in cli.CHECKS:
+                got[name, what] = run_cli(capsys, "check", what, "--instance", path)
+        return got
+
+    want = outcomes()
+
+    def refuse(self):
+        raise AssertionError("Valuation.table was read")
+
+    monkeypatch.setattr(model.Valuation, "table", property(refuse))
+    with pytest.raises(AssertionError, match="was read"):
+        gs_market.players[0].table
+    assert outcomes() == want
 
 
 def lemma_findings_by_bundle(instance):

@@ -573,7 +573,7 @@ def market_of(rng, kind, m, n):
 def demand_families_by_row(instance, prices):
     """demand.demand_families one player row at a time, kept as the
     reference for its one-pass split."""
-    util = demand._utilities(instance.players, prices)
+    util = demand._utilities(instance.players, demand._bundle_prices(instance.m, prices))
     hit = util == util.max(axis=1, keepdims=True)
     return tuple(tuple(int(s) for s in np.flatnonzero(row)) for row in hit)
 

@@ -1,8 +1,11 @@
 """Valuation constructors, validation, and serialization."""
 
 import enum
+import gc
+import importlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,3 +459,197 @@ def test_truncation_spec_recorded():
     assert v.trunc is not None
     assert v.trunc.k == 2
     assert v.trunc.cap == 4
+
+
+# ---------------------------------------------------------------------------
+# one store: the read-only array, and the table read off it
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def built_every_way(table):
+    """The raw table valuation of table, built from a list, a tuple, an
+    object array, a view of an array, its JSON and, where it fits, an int64
+    array."""
+    m = len(table).bit_length() - 1
+    items = [f"i{j}" for j in range(m)]
+    view = np.repeat(np.array(table, dtype=object), 2)[::2]
+    doc = instance_to_json(make_instance(items, [make_table(m, table)]))
+    wide = [np.array(table, dtype=np.int64)] if max(table) < 2 ** 63 else []
+    return [make_table(m, table), model.Valuation(m=m, table=tuple(table)),
+            *(model.Valuation(m=m, table=t)
+              for t in [np.array(table, dtype=object), view, *wide]),
+            instance_from_json(doc, vmax=2 ** 80).players[0]]
+
+
+@pytest.mark.parametrize("m, top", [(3, 8), (7, 2 ** 20), (7, 2 ** 62), (4, 2 ** 70)])
+def test_value_equal_valuations_are_equal_and_hash_alike(m, top):
+    rng = random.Random(m)
+    table = [0] + sorted(rng.randint(0, top) for _ in range((1 << m) - 1))
+    first, *rest = built_every_way(table)
+    dtype = model._int_dtype(0, max(table))
+    for v in [first, *rest]:
+        assert v == first and hash(v) == hash(first)
+        assert v.np_table.dtype == dtype and not v.np_table.flags.writeable
+    changed = list(table)
+    changed[-1] += 1
+    for v in built_every_way(changed):
+        assert v != first
+    # the fields beside the table count too
+    assert model.Valuation(m=m, table=table, class_tag="additive") != first
+
+
+def test_an_array_the_caller_keeps_cannot_write_the_store():
+    mine = np.array([0, 1, 2, 3], dtype=np.int16)
+    v = model.Valuation(m=2, table=mine)
+    assert v.np_table is mine and not mine.flags.writeable
+    base = np.array([0, 1, 2, 3, 9], dtype=np.int16)
+    v = model.Valuation(m=2, table=base[:4])
+    base[0] = 5
+    assert v.table == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("v", [
+    make_unit_demand([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]), make_additive([2 ** 61] * 3),
+    make_truncation(make_additive([4, 5, 6]), 2, 8), make_table(2, [0, 1, 2, 2])])
+def test_table_is_a_fresh_tuple_of_python_ints(v):
+    table = v.table
+    assert isinstance(table, tuple) and table == tuple(v.np_table.tolist())
+    assert {type(x) for x in table} == {int}
+    assert v.table is not table
+
+
+def test_a_generated_or_loaded_market_holds_no_tuple_of_its_entries(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    inst = workloads.ladder_market(random.Random("cli/14"), 14).instance
+    loaded = instance_from_json(instance_to_json(inst))
+    assert loaded == inst
+    for v in inst.players + loaded.players:
+        v.table     # a read keeps nothing
+        held = gc.get_referents(v)
+        assert any(x is v.np_table for x in held)
+        assert not any(isinstance(x, (tuple, list)) and len(x) == 1 << 14 for x in held)
+        assert v.np_table.dtype == np.int16
+
+
+def test_tables_past_int64_stay_exact():
+    big = 2 ** 70
+    v = make_table(2, [0, big, big + 1, 2 * big])
+    assert v.np_table.dtype == object and v.vmax == 2 * big
+    assert v.table == (0, big, big + 1, 2 * big)
+    assert model.validate(v) == Violation("value above cap", (1,))
+    assert model.validate(v, vmax=2 * big) is None
+    # a cap past int64 over a narrow base: the clamped entries are exact
+    t = make_truncation(make_unit_demand((1, 2, 3)), 1, big)
+    assert t.np_table.dtype == object
+    assert t.table == (0,) + (big,) * 7
+    assert model.is_submodular(t.np_table, 3)
+    # a cap past 2**61 but inside int64 takes the same path, and one that
+    # clamps no bundle leaves the table as narrow as its entries
+    t = make_truncation(make_unit_demand((1, 2)), 1, 2 ** 62)
+    assert t.np_table.dtype == object and t.table == (0,) + (2 ** 62,) * 3
+    t = make_truncation(make_additive((3, 4)), 3, big)
+    assert t.np_table.dtype == np.int16 and t.table == (0, 3, 4, 7)
+
+
+# ---------------------------------------------------------------------------
+# table players read from JSON
+
+def table_doc(values, items=("a", "b")):
+    return json.dumps({"items": list(items), "players": [{"type": "table", "values": values}]})
+
+
+def test_json_table_keys_in_any_label_order():
+    ordered = instance_from_json(table_doc({"": 0, "a": 1, "b": 2, "a,b": 3}))
+    shuffled = instance_from_json(table_doc({"b,a": 3, "b": 2, "": 0, "a": 1}))
+    assert ordered == shuffled
+    assert ordered.players[0].table == (0, 1, 2, 3)
+    # items listed out of label order: keys are sorted labels either way
+    swapped = instance_from_json(table_doc({"": 0, "b": 1, "a": 2, "a,b": 3}, ("b", "a")))
+    assert swapped.players[0].table == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"": 0, "a": 1, "c": 2, "a,b": 3}, "unknown item label 'c' in bundle key"),
+    ({"": 0, "a": 1, "b,c": 2, "a,b": 3}, "unknown item label 'c' in bundle key"),
+    ({"": 0, "a": 1, "a,a": 2, "a,b": 3}, "duplicate item label 'a' in bundle key"),
+    ({"": 0, "a": 1, "b": 2, "a,b": 3, "b,a": 3}, "bundle key 'b,a' repeats an earlier bundle"),
+    ({"": 0, "b,a": 3, "a": 1, "a,b": 3}, "bundle key 'a,b' repeats an earlier bundle"),
+    ({"": 0, "a": 1, "a,b": 3}, "table player is missing 1 bundles, first 'b'"),
+    ({"": 0, "a": 1.5, "b": 2, "a,b": 3}, "value of bundle 'a' must be an integer, got 1.5"),
+    # the first key, in order, with a problem names it: a value before a key
+    ({"": 0, "a": True, "c": 2, "a,b": 3}, "value of bundle 'a' must be an integer, got True"),
+    ({"": 0, "c": 2, "a": True, "a,b": 3}, "unknown item label 'c' in bundle key"),
+    # and at one key its parse, then a repeat, then its value
+    ({"": 0, "a,a": None, "b": 2}, "duplicate item label 'a' in bundle key"),
+    ({"": 0, "a": 1, "b": 2, "b,a": 3, "a,b": None},
+     "bundle key 'a,b' repeats an earlier bundle"),
+])
+def test_json_table_errors_name_the_first_bad_key(values, message):
+    with pytest.raises(ModelError) as got:
+        instance_from_json(table_doc(values))
+    assert str(got.value) == message
+
+
+def load_table_by_keys(values, items):
+    """A table player read one key at a time, parsing every key: the
+    reference for the lookup and its messages."""
+    index = {label: j for j, label in enumerate(items)}
+    table = [None] * (1 << len(items))
+    for key, x in values.items():
+        mask = model._parse_bundle_key(key, index)
+        if table[mask] is not None:
+            raise ModelError(f"bundle key {key!r} repeats an earlier bundle")
+        table[mask] = model._require_int(x, f"value of bundle {key!r}")
+    missing = [mask for mask, x in enumerate(table) if x is None]
+    if missing:
+        raise ModelError(f"table player is missing {len(missing)} bundles, "
+                         f"first {model._bundle_key(items, missing[0])!r}")
+    return tuple(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_json_table_lookup_matches_the_key_by_key_read(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 7)
+    items = rng.sample([f"{c}{d}" for c in "xyz" for d in "0123"], m)
+    keys = []
+    for mask in range(1 << m):
+        labels = [items[j] for j in range(m) if mask >> j & 1]
+        keys.append(",".join(sorted(labels) if rng.random() < 0.9 else labels[::-1]))
+    pairs = [[key, rng.randint(0, 9)] for key in keys]
+    rng.shuffle(pairs)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randrange(len(pairs))
+        fault = rng.choice(("unknown", "repeat-label", "repeat-bundle", "missing", "value"))
+        if fault == "unknown":
+            pairs[i][0] += ",q9" if pairs[i][0] else "q9"
+        elif fault == "repeat-label" and pairs[i][0]:
+            pairs[i][0] += "," + pairs[i][0].split(",")[0]
+        elif fault == "repeat-bundle":
+            j = rng.randrange(len(pairs))
+            labels = pairs[j][0].split(",") if pairs[j][0] else []
+            pairs[i][0] = ",".join(labels[::-1]) if len(labels) > 1 else pairs[j][0]
+        elif fault == "missing":
+            del pairs[i]
+        else:
+            pairs[i][1] = rng.choice((1.5, None, "3", False))
+    values = dict(pairs)
+    try:
+        want = load_table_by_keys(values, items)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as got:
+            model._table_from_json(values, items, {x: j for j, x in enumerate(items)},
+                                   dict(zip(model._mask_keys(items), range(1 << m))))
+        assert str(got.value) == str(exc)
+    else:
+        v = model._table_from_json(values, items, {x: j for j, x in enumerate(items)},
+                                   dict(zip(model._mask_keys(items), range(1 << m))))
+        assert v.table == want and v == make_table(m, list(want))
+
+
+def test_mask_keys_are_the_sorted_labels_in_mask_order():
+    items = ["i1", "i10", "i2", "b"]
+    assert model._mask_keys(items) == [model._bundle_key(items, s) for s in range(16)]

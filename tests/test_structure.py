@@ -209,7 +209,8 @@ def test_unclassifiable_on_complements():
     with pytest.raises(structure.UnclassifiableTransition):
         structure.classify_transition(comp, (0, 3), 0)
     # both unit raises are rejected, from one scan at (0, 3)
-    assert structure.transition_misses(comp, (0, 3), demand.demand_sets(comp, (0, 3))) == [
+    raised = [demand._bundle_prices(2, add_indicator((0, 3), 1 << j)) for j in (0, 1)]
+    assert structure.transition_misses(comp, raised, demand.demand_sets(comp, (0, 3))) == [
         (j, f"transition on item {j} fits no case: (3,) -> (0,)") for j in (0, 1)]
 
 
