@@ -274,7 +274,7 @@ def _round_replay() -> Planner:
             since = t
             read.clear()
         held = demand.held_demand(instance, step.price_before)
-        read[t] = None if any(len(f) > demand.SCAN_MEMBERS for f in held[1]) else held
+        read[t] = None if max(map(len, held[1])) > demand.SCAN_MEMBERS else held
         read.pop(t - instance.m - 1, None)
         start = last_at.get(step.raised, -1)
         last_at[step.raised] = t

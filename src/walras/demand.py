@@ -17,7 +17,9 @@ derived quantities drive everything else here:
 over_demanded_set returns the inclusion-minimal maximizer of excess demand;
 minimal_minimizer returns the smallest bundle whose unit raise minimizes the
 Lyapunov function. On gross-substitutes input the two coincide step for step,
-which the auction engines exploit and the tests verify. stable_raises counts
+which the auction engines exploit and the tests verify: the minimizer starts
+from the over-demanded set and evaluates only the bundles whose excess lets
+them match it (see minimal_minimizer_report). stable_raises counts
 the unit raises of a set that leave every demand family as it is, from the
 demand its caller passes and the value tables, so the gs and fine engines
 can take them without a view for each.
@@ -25,14 +27,15 @@ can take them without a view for each.
 Demand, D*(p) and the overlaps enumerate all 2**m bundles per player, and
 the obstacle all 2**m excess values. Two quantities are sweeps instead,
 both one (max,+) pass per item over the subset lattice (_raise_sweep): the
-Lyapunov values after every unit raise p + 1_S (n * m * 2**m steps) and,
-for oracle.minimal_walrasian_price, at every point of a price grid (about
+Lyapunov values after every unit raise p + 1_S (n * m * 2**m steps), the
+minimizer's reference and its fallback, and, for
+oracle.minimal_walrasian_price, at every point of a price grid (about
 twice the grid size per player). Every price grid has the layout
 that sweep leaves, item 0 fastest, and only this module knows it: a grid
 vector's reshape(radix, order="F") is an array whose axis j is item j.
 A view's two super-linear steps, the minimal filter (|D| * |D*|
-comparisons) and the overlap row (one popcount pass of 2**m entries per
-member of D*), raise BudgetExceeded past DEFAULT_OP_BUDGET, which
+comparisons) and the overlap row (2**m entries per member of D*, an outer
+sum of two half rows), raise BudgetExceeded past DEFAULT_OP_BUDGET, which
 WALRAS_BUDGET does not move.
 The filter reads a family in mask order, where every bundle comes after
 its subsets: up to SCAN_MEMBERS members it is a Python scan, and above
@@ -68,8 +71,11 @@ the headroom keeps a utility, a difference of two utilities, or a
 utility less up to m unit raises exact. What sums more than that reads
 int64: the Lyapunov sum over players here, the doubled grid in
 structure.check_gs_on_grid and the price grid in
-oracle.minimal_walrasian_price. stable_raises starts its masked maximum
-from the least utility of the dtype, _FLOOR.
+oracle.minimal_walrasian_price. A view's excess lies between -m and n * m
+and takes _int_dtype of those bounds, int16 on every benchmark market; a
+view built from another adds its changed overlap rows to the base's excess
+and subtracts the old ones in that dtype. stable_raises starts its masked maximum from the least utility of the
+dtype, _FLOOR.
 
 Ascending auctions only raise prices, and a new view is built from the one
 the memo returned last whenever no price fell since. Going from b to q >= b
@@ -79,30 +85,39 @@ bundles that avoid the raised items S = supp(q - b). A player whose
 demanded bundles all avoid S (the union of its demand family, the view's
 reach, is disjoint from S) therefore keeps its row at q exactly.
 
-Every other player's row, one whose demand meets a raised item, is
+A player whose demand meets S but holds a bundle that avoids it keeps its
+top utility, and its demand at q is the part of its demand at b that
+avoids S. Its minimal demand at q is the part of D*(b) that avoids S: a
+bundle kept contains a minimal member of D(b), which avoids S too. The
+reach is the union of what is kept. A family of up to SCAN_MEMBERS
+members is filtered so in Python; a larger one is rescanned.
+
+Every other player's row, one whose every demanded bundle meets S, is
 scanned from its value table again, by the same code and budget checks as
 a full build, with one bundle pricing per view that has such a row. A
-rescanned row whose D* is the base's keeps the base's overlap row itself,
-even where the memo holds no rows; otherwise its overlaps come from the
-memo whenever its D* was met before on the market. So only a row whose D*
+row whose D* is the base's keeps the base's overlap row itself, even
+where the memo holds no rows; otherwise its overlaps come from the memo
+whenever its D* was met before on the market. So only a row whose D*
 changed is a different array, and the excess is the base's plus the
-change in those rows. On the benchmark's deep markets a view the fine
-auction builds redoes about a quarter of the players' rows.
+change in those rows. On the benchmark's ladder markets, 12,305 of the
+30,253 rows the fine auction's views would redo keep their top this way.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress
 from math import prod
+from operator import ge, ne, or_
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .model import (
     DEFAULT_OP_BUDGET, BudgetExceeded, Instance, Prices, Valuation, _int_dtype,
-    check_index, check_players, check_price_count, lex_key, popcount, price_of,
+    add_indicator, check_index, check_players, check_price_count, lex_key, popcount, price_of,
 )
 
 
@@ -117,10 +132,22 @@ def _masks(m: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _popcounts(m: int) -> np.ndarray:
     """The size of every bundle of m items, in mask order, read-only, in
-    int64: a view's excess is a uint8 overlap row less these, which wraps."""
-    pc = np.bitwise_count(_masks(m)).astype(np.int64)
+    uint8: a sum that may go negative, such as a view's excess, names its
+    own signed dtype."""
+    pc = np.bitwise_count(_masks(m))
     pc.setflags(write=False)
     return pc
+
+
+@lru_cache(maxsize=32)
+def _pair_popcounts(k: int) -> np.ndarray:
+    """|a & b| for every two bundles a, b of k items, as a read-only uint8
+    matrix of 2**k x 2**k: its rows are the half rows of _overlap_row,
+    whose low half reads the top-left block when it has fewer items."""
+    masks = _masks(k)
+    pairs = np.bitwise_count(masks[:, None] & masks)
+    pairs.setflags(write=False)
+    return pairs
 
 
 @lru_cache(maxsize=32)
@@ -211,6 +238,8 @@ def _raise_sweep(util: np.ndarray, options) -> np.ndarray:
 # Families up to this many members are filtered by a Python scan, larger
 # ones (a unit-demand player near zero prices demands 2**(m-1) or more) by a
 # numpy peel, which costs a few microseconds a pass but no Python per member.
+# A rising view likewise filters a kept family of up to this many members
+# in Python and rescans a larger one from its value table.
 SCAN_MEMBERS = 128
 
 
@@ -274,7 +303,9 @@ class _MarketView:
 # where unit-demand and OXS players demand half the bundles or more, the
 # demand families alone take 4.3 MiB against 2.4 MiB counted for the view
 # of ladder_market(Random("cli/14"), 14) at zero prices, and 17.2 MiB
-# against 10.5 MiB at m = 16.
+# against 10.5 MiB at m = 16. It takes a view's excess as int64 entries,
+# where the excess is int16 on every benchmark market (see the module
+# docstring), so it overstates the arrays it does count.
 # An engine visits each price once, so the views worth keeping are the
 # first ones, which a later engine on the same market walks again from the
 # same start: once the memo is full, each new view replaces the last one
@@ -325,12 +356,26 @@ def _overlap_row(minimal: tuple[int, ...], m: int) -> np.ndarray:
         raise BudgetExceeded(
             f"demand overlaps need {len(minimal) << m} entries, "
             f"budget {DEFAULT_OP_BUDGET}")
-    masks = _masks(m)
-    row = np.bitwise_count(masks & minimal[0])
-    for low in minimal[1:]:
-        np.minimum(row, np.bitwise_count(masks & low), out=row)
+    # |D & S| is the overlap of the high halves plus that of the low ones:
+    # an outer sum of two uint8 rows of about 2**(m/2) entries per member
+    low = m // 2
+    pairs = _pair_popcounts(m - low)
+    lows, low_bits = pairs[:1 << low, :1 << low], (1 << low) - 1
+    row = pairs[minimal[0] >> low][:, None] + lows[minimal[0] & low_bits]
+    if len(minimal) > 1:
+        part = np.empty_like(row)
+        for d in minimal[1:]:
+            np.add(pairs[d >> low][:, None], lows[d & low_bits], out=part)
+            np.minimum(row, part, out=row)
+    row = row.ravel()
     row.setflags(write=False)
     return row
+
+
+def _top(values: np.ndarray) -> int:
+    """The largest entry of a 1-d array: argmax and one read cost less
+    than max on the short integer arrays of a view."""
+    return int(values[values.argmax()])
 
 
 def _scan(v: Valuation, pcost: np.ndarray):
@@ -338,7 +383,7 @@ def _scan(v: Valuation, pcost: np.ndarray):
     demand family as an int64 array in mask order and its minimal demand
     family."""
     util = v.np_table - pcost
-    top = int(util.max())
+    top = _top(util)
     hit = (util == top).nonzero()[0]
     return top, hit, _minimal_members(hit)
 
@@ -348,7 +393,11 @@ def _row(v: Valuation, pcost: np.ndarray):
     without its overlap row: best utility, demand family, minimal demand
     family and the union of its demanded bundles."""
     top, hit, minimal = _scan(v, pcost)
-    return top, tuple(hit.tolist()), minimal, int(np.bitwise_or.reduce(hit))
+    family = tuple(hit.tolist())
+    # a numpy reduce of a short array costs more than Python's
+    if len(family) > SCAN_MEMBERS:
+        return top, family, minimal, int(np.bitwise_or.reduce(hit))
+    return top, family, minimal, reduce(or_, family)
 
 
 def _market(instance: Instance, prices: Prices) -> _MarketView:
@@ -359,6 +408,8 @@ def _market(instance: Instance, prices: Prices) -> _MarketView:
     prices = tuple(prices)
     memo = _memo
     if memo.owner is instance:
+        if prices == memo.prices:
+            return memo.view
         view = memo.views.get(prices)
         if view is not None:
             if view is not memo.view:
@@ -383,40 +434,50 @@ def _market(instance: Instance, prices: Prices) -> _MarketView:
                 shared[minimal] = row
         return row
 
-    rising = base is not None and all(q >= b for q, b in zip(prices, base_prices))
+    rising = base is not None and all(map(ge, prices, base_prices))
     if rising:
         # rows whose demand avoids every raised item are the base's
-        rose = sum(1 << j for j, (q, b) in enumerate(zip(prices, base_prices))
-                   if q > b)
-        rows = list(zip(base.utility, base.demand, base.minimal, base.reach,
-                        base.overlap))
-        stale = [i for i, r in enumerate(base.reach) if r & rose]
+        rose = 0
+        for j in compress(range(m), map(ne, prices, base_prices)):
+            rose |= 1 << j
+        utility, families, minimals, reach, overlap = (
+            list(base.utility), list(base.demand), list(base.minimal),
+            list(base.reach), list(base.overlap))
+        stale = [i for i, r in enumerate(reach) if r & rose]
     else:
-        rows, stale = [None] * n, range(n)
-    pcost = _bundle_prices(m, prices) if stale else None
+        utility, families, minimals, reach, overlap = ([None] * n for _ in range(5))
+        stale = range(n)
+    pcost = None
     for i in stale:
-        top, family, minimal, reach = _row(players[i], pcost)
-        # a row rescanned to the base's minimal family keeps its overlap row
-        if rising and minimal == base.minimal[i]:
-            overlap = base.overlap[i]
+        kept = rising and [s for s in minimals[i] if not s & rose]
+        if kept and len(families[i]) <= SCAN_MEMBERS:
+            # a demanded bundle avoids the raised items, so the top stays
+            # and the demand is the part of the base's that avoids them
+            family = tuple([s for s in families[i] if not s & rose])
+            minimal, union = tuple(kept), reduce(or_, family)
         else:
-            overlap = overlap_of(minimal)
-        rows[i] = top, family, minimal, reach, overlap
-    utility, families, minimals, reach, overlap = zip(*rows)
+            if pcost is None:
+                pcost = _bundle_prices(m, prices)
+            utility[i], family, minimal, union = _row(players[i], pcost)
+        families[i], reach[i] = family, union
+        # a row whose minimal family is the base's keeps its overlap row
+        if not rising or minimal != minimals[i]:
+            minimals[i], overlap[i] = minimal, overlap_of(minimal)
     if rising:
+        # the first changed row writes a new array, the rest add into it
         excess = base.excess
-        changed = [i for i in stale if overlap[i] is not base.overlap[i]]
-        if changed:
-            excess = excess.copy()
-            for i in changed:
-                excess += overlap[i]
+        for i in stale:
+            if overlap[i] is not base.overlap[i]:
+                excess = np.add(excess, overlap[i],
+                                out=None if excess is base.excess else excess)
                 excess -= base.overlap[i]
     else:
-        excess = overlap[0] - _popcounts(m)
+        excess = np.subtract(overlap[0], _popcounts(m), dtype=_int_dtype(-m, n * m))
         for row in overlap[1:]:
             excess += row
     excess.setflags(write=False)
-    view = _MarketView(utility, families, minimals, reach, overlap, excess)
+    view = _MarketView(tuple(utility), tuple(families), tuple(minimals),
+                       tuple(reach), tuple(overlap), excess)
     _make_room(views, size, size + len(shared) * row_size)
     views[prices] = view
     _memo = _Memo(instance, views, prices, view, shared)
@@ -510,17 +571,25 @@ def over_demanded_set(instance: Instance, prices: Prices,
     else:
         overlap = [view.overlap[i] for i in players]
         excess = np.sum(overlap, axis=0, dtype=np.int64) - _popcounts(instance.m)
-    top = int(excess.max())
+    top = _top(excess)
     if top <= 0:
         return ObstacleReport(0, 0, (0,) * len(overlap), True)
-    minimal = _minimal_members((excess == top).nonzero()[0])
-    best = min(minimal, key=lex_key)
+    best, unique = _least_maximizer(excess, top)
     return ObstacleReport(
         bundle=best,
         excess=top,
-        per_player=tuple(int(row[best]) for row in overlap),
-        unique=len(minimal) == 1,
+        per_player=tuple([row.item(best) for row in overlap]),
+        unique=unique,
     )
+
+
+def _least_maximizer(excess: np.ndarray, top: int) -> tuple[int, bool]:
+    """The lexicographically least inclusion-minimal bundle whose excess is
+    top, and whether it is the only inclusion-minimal one."""
+    minimal = _minimal_members((excess == top).nonzero()[0])
+    if len(minimal) == 1:
+        return minimal[0], True
+    return min(minimal, key=lex_key), False
 
 
 def lyapunov(instance: Instance, prices: Prices) -> int:
@@ -616,17 +685,65 @@ def lyapunov_after_raise(instance: Instance, prices: Prices, *,
     return util.sum(axis=0) + _popcounts(instance.m) + sum(prices)
 
 
+def _raised_lyapunov(instance: Instance, prices: Prices, view: _MarketView,
+                     raised: int) -> int:
+    """L(p + 1_raised) from the view at p and a table pass that holds
+    nothing: a player with a demanded bundle that avoids the raised items
+    keeps its best utility, and every other player's is read off its value
+    table less the bundle prices at p + 1_raised. The sum is in Python
+    integers, exact whatever the utilities' dtype."""
+    total = sum(prices) + popcount(raised)
+    pcost = None
+    for v, top, row in zip(instance.players, view.utility, view.overlap):
+        if not row[raised]:
+            total += top
+            continue
+        if pcost is None:
+            pcost = _bundle_prices(instance.m, add_indicator(prices, raised))
+        total += _top(v.np_table - pcost)
+    return total
+
+
 def minimal_minimizer_report(instance: Instance, prices: Prices) -> MinimizerReport:
     """Smallest bundle whose unit raise minimizes the Lyapunov function.
 
     Minimizers are compared by cardinality and then lexicographically by
     item order; the unique flag records whether the lexicographic tie-break
     fired. On gross-substitutes input the minimizer is provably unique.
+
+    The view at p bounds every raise: each player keeps at least
+    top_i - overlap_i(S) at p + 1_S, so L(p + 1_S) >= L(p) - excess(S) on
+    every market (weak duality, as in Gul and Stacchetti 1999). With no
+    positive excess the empty bundle wins alone. Otherwise S0, the
+    over-demanded set, gives an upper bound ub on the minimum: L(p + 1_S0)
+    at size |S0| when it is below L(p), else L(p) at size 0. Only a bundle
+    with excess(S) > L(p) - ub, or with excess(S) = L(p) - ub and no more
+    items than that size, can then beat or tie it, and each candidate is
+    evaluated exactly. With more candidates than items the raise sweep
+    (lyapunov_after_raise), the reference, evaluates every bundle instead.
     """
-    after = lyapunov_after_raise(instance, prices)
-    low = int(after.min())
-    cands = [int(s) for s in np.nonzero(after == low)[0]]
-    size = min(popcount(s) for s in cands)
+    prices = tuple(prices)
+    view = _market(instance, prices)
+    lyap = sum(view.utility) + sum(prices)
+    excess = view.excess
+    top = _top(excess)
+    if top <= 0:
+        return MinimizerReport(bundle=0, lyapunov_after=lyap, unique=True)
+    known, _ = _least_maximizer(excess, top)
+    after = _raised_lyapunov(instance, prices, view, known)
+    ub, tie = (after, popcount(known)) if after < lyap else (lyap, 0)
+    gap = lyap - ub
+    cands = np.flatnonzero((excess > gap) | ((excess == gap) & (_popcounts(instance.m) <= tie)))
+    if len(cands) > instance.m:
+        after = lyapunov_after_raise(instance, prices)
+        low = int(after.min())
+        cands = np.flatnonzero(after == low).tolist()
+    else:
+        values = {s: after if s == known else _raised_lyapunov(instance, prices, view, s)
+                  for s in cands.tolist()}
+        low = min(values.values())
+        cands = [s for s, x in values.items() if x == low]
+    size = min(map(popcount, cands))
     smallest = [s for s in cands if popcount(s) == size]
     best = min(smallest, key=lex_key)
     return MinimizerReport(bundle=best, lyapunov_after=low, unique=len(smallest) == 1)

@@ -267,6 +267,57 @@ def test_sweeps_match_brute_force_references(seed):
     assert demand.minimal_minimizer_report(inst, p) == table_minimizer(inst, p)
 
 
+def sweep_minimizer(inst, p):
+    """minimal_minimizer_report from lyapunov_after_raise alone, the
+    reference its candidate bound must agree with."""
+    after = demand.lyapunov_after_raise(inst, p).tolist()
+    low = min(after)
+    cands = [s for s, x in enumerate(after) if x == low]
+    size = min(map(popcount, cands))
+    smallest = [s for s in cands if popcount(s) == size]
+    return demand.MinimizerReport(min(smallest, key=model.lex_key), low,
+                                  len(smallest) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.sampled_from(("gs", "paircap", "monotone")))
+def test_minimizer_from_the_view_matches_the_sweep(seed, kind):
+    rng = random.Random(seed)
+    inst = market_of(rng, kind, rng.randint(1, 6), rng.randint(1, 5))
+    p = conftest.random_prices(rng, inst, hi=rng.randint(1, conftest.VMAX + 1))
+    assert demand.minimal_minimizer_report(inst, p) == sweep_minimizer(inst, p)
+
+
+@pytest.mark.parametrize("tables, p, obstacle, want, swept", [
+    # two bundles of one item tie at the least value, so the lexicographic
+    # tie-break fires and unique is False
+    ([[0, 0, 2, 4, 0, 0, 0, 0], [0, 0, 1, 3, 0, 1, 2, 3]], (1, 1, 3), 0b011,
+     demand.MinimizerReport(0b001, 7, False), False),
+    # complements: the first player values only {x, y}. The over-demanded
+    # set is {x, y}, but no raise lowers the Lyapunov value, so the empty
+    # bundle is the minimizer
+    ([[0, 0, 0, 2], [0, 1, 2, 2]], (0, 1), 0b11,
+     demand.MinimizerReport(0, 3, True), False),
+    # the bound leaves three candidates for two items, so the sweep decides
+    ([[0, 0, 0, 1], [0, 1, 0, 5]], (0, 0), 0b11,
+     demand.MinimizerReport(0b01, 5, False), True),
+])
+def test_minimizer_candidates_and_their_fallback(monkeypatch, tables, p, obstacle,
+                                                 want, swept):
+    m = len(tables[0]).bit_length() - 1
+    inst = make_instance([f"i{j}" for j in range(m)],
+                         [model.make_table(m, t) for t in tables])
+    calls = []
+    real = demand.lyapunov_after_raise
+    monkeypatch.setattr(demand, "lyapunov_after_raise",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert demand.minimal_minimizer_report(inst, p) == want
+    assert bool(calls) == swept
+    # in each market the minimizer is not the over-demanded set S0
+    assert demand.over_demanded_set(inst, p).bundle == obstacle != want.bundle
+    assert sweep_minimizer(inst, p) == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(seeds)
 def test_utilities_after_raise_match_the_shifted_views(seed):
@@ -489,8 +540,8 @@ def test_full_memo_holds_no_more_bytes_than_its_count(monkeypatch):
         tracemalloc.stop()
     assert (views + 1) * ((inst.n + 2) << m) + other > demand.MEMO_ENTRIES
     assert held <= 8 * demand.MEMO_ENTRIES
-    # n uint8 overlap rows and one int64 excess per view, some shared,
-    # against the (n + 2) int64 rows the count assumes
+    # n uint8 overlap rows, some shared, and one excess per view, int16
+    # here, against the (n + 2) int64 rows the count assumes
     assert held <= 2 * demand.MEMO_ENTRIES
 
 
@@ -602,7 +653,7 @@ def test_demand_families_match_the_per_row_reference(seed, kind, values):
 
 def fields(view):
     return (view.utility, view.demand, view.minimal, view.reach,
-            np.stack(view.overlap).tolist(), view.excess.tolist())
+            np.stack(view.overlap).tolist(), view.excess.tolist(), view.excess.dtype)
 
 
 def fresh_view(inst, prices):
@@ -687,6 +738,74 @@ def test_a_chain_of_rises_from_a_large_family_matches_fresh_builds():
         chain.append(tuple(p))
         p[j] += 1
     check_chain(inst, chain)
+
+
+def stale_row_kinds(inst, chain):
+    """For each rise of chain and each player whose demand meets a raised
+    item: whether one of its demanded bundles avoids them, so its row keeps
+    its top, and whether its family has over SCAN_MEMBERS members."""
+    kinds = set()
+    for p, q in zip(chain, chain[1:]):
+        rose = sum(1 << j for j, (a, b) in enumerate(zip(p, q)) if a != b)
+        for family in fresh_view(inst, p).demand:
+            if any(s & rose for s in family):
+                kinds.add((any(not s & rose for s in family),
+                           len(family) > demand.SCAN_MEMBERS))
+    return kinds
+
+
+def test_rising_views_keep_tops_on_both_sides_of_the_scan():
+    # at zero prices the players demand 192, 128 and 192 bundles; raising
+    # {0, 1, 7} leaves only the third one a demanded bundle, and raising
+    # {2, 3, 6} next meets small families, one of them with such a bundle
+    m = 8
+    inst = make_instance([f"i{j}" for j in range(m)], [
+        make_unit_demand((9, 9, 5, 4, 3, 2, 1, 1)),
+        make_unit_demand((1, 2, 3, 4, 5, 6, 7, 8)),
+        make_unit_demand((4, 1, 7, 1, 4, 7, 2, 2))])
+    chain = [(0,) * m, (1, 1, 0, 0, 0, 0, 0, 1), (1, 1, 1, 1, 0, 0, 1, 1)]
+    assert stale_row_kinds(inst, chain) == {
+        (True, False), (True, True), (False, False), (False, True)}
+    check_chain(inst, chain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.sampled_from(KINDS + ("unit",)))
+def test_chains_of_multi_item_rises_match_fresh_builds(seed, kind):
+    # up to 9 items from prices near zero, where a unit-demand player
+    # demands 2**(m-1) bundles or more: families on both sides of
+    # SCAN_MEMBERS
+    rng = random.Random(seed)
+    m, n = rng.randint(2, 9), rng.randint(1, 4)
+    if kind == "unit":
+        inst = make_instance([f"i{j}" for j in range(m)], [
+            make_unit_demand([rng.randint(0, 4) for _ in range(m)]) for _ in range(n)])
+    else:
+        inst = market_of(rng, kind, m, n)
+    p = [rng.randint(0, 2) for _ in range(m)]
+    chain = [tuple(p)]
+    for _ in range(rng.randint(2, 8)):
+        for j in rng.sample(range(m), rng.randint(1, min(m, 3))):
+            p[j] += rng.randint(1, 2)
+        chain.append(tuple(p))
+    check_chain(inst, chain)
+
+
+def full_width_overlap_row(minimal, m):
+    """min |D & S| over D in minimal by one popcount pass of 2**m entries
+    per member, kept as the reference for _overlap_row's half split."""
+    masks = np.arange(1 << m)
+    return np.min([np.bitwise_count(masks & d) for d in minimal], axis=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.integers(1, 12), st.integers(1, 6))
+def test_overlap_rows_by_the_half_split_match_the_full_width(seed, m, size):
+    rng = random.Random(seed)
+    minimal = tuple(sorted({rng.getrandbits(m) for _ in range(size)}))
+    row = demand._overlap_row(minimal, m)
+    assert row.dtype == np.uint8 and not row.flags.writeable
+    assert row.tolist() == full_width_overlap_row(minimal, m).tolist()
 
 
 def minimal_members_reference(family):
@@ -845,6 +964,31 @@ def test_bundle_prices_past_int64_are_exact():
     p = (3 * 2 ** 61,) * 3
     assert demand.demand_families(inst, p) == ((0,),)
     assert demand.lyapunov(inst, p) == 20_752_587_082_923_245_568
+
+
+@pytest.mark.parametrize("players, dtype", [
+    # n * m = 8,190 and 8,200: on either side of int16's bound of 2**13
+    ([make_unit_demand((3, 2)), make_unit_demand((1, 1)), make_unit_demand((0, 4))] * 1365,
+     np.int16),
+    ([make_unit_demand((3, 2)), make_unit_demand((1, 1))] * 2050, np.int32),
+    # every player's one minimal demanded bundle is {x, y}, so the excess
+    # of {x, y} is 32,798: past int16 itself
+    ([model.make_table(2, [0, 0, 0, 5])] * 16_400, np.int32),
+])
+def test_excess_widens_with_the_number_of_players(players, dtype):
+    inst = make_instance(["x", "y"], players)
+    demand._memo = demand._Memo()
+    p = (0, 0)
+    rows = python_rows(inst, p)
+    assert demand._market(inst, p).excess.dtype == dtype
+    excess = [sum(min(popcount(d & s) for d in minimal) for _, _, minimal, _ in rows)
+              - popcount(s) for s in range(4)]
+    assert [demand.excess_demand(inst, p, s) for s in range(4)] == excess
+    assert demand.over_demanded_set(inst, p) == python_obstacle(inst, p, rows)
+    # the same from a lower view, built by the rising rule
+    demand._memo = demand._Memo()
+    demand._market(inst, (0, -1))
+    assert [demand.excess_demand(inst, p, s) for s in range(4)] == excess
 
 
 def test_lyapunov_after_raise_sums_players_past_int64():
